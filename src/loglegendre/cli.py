@@ -11,6 +11,7 @@ import argparse
 import concurrent.futures
 import datetime
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -62,16 +63,20 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _load_config(path: str) -> dict[str, str]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParamError(f"cannot read config file {path!r}: {exc}") from exc
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ParamError(f"bad config line: {raw.rstrip()}")
-            out[key.strip()] = value.strip()
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ParamError(f"bad config line: {raw.rstrip()}")
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -233,8 +238,9 @@ def cmd_asymptotics(args) -> int:
     if seq == "I" and params.m is None:
         raise ParamError("the I sequence needs the form order m")
     jobs = [(seq, params, t, args.precision) for t in range(1, args.t_max + 1)]
-    if args.threads > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.threads) as pool:
+    workers = _worker_count(args.threads)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             pairs = sorted(pool.map(_asym_point, jobs))
     else:
         pairs = [_asym_point(j) for j in jobs]
@@ -262,6 +268,11 @@ def cmd_asymptotics(args) -> int:
     return EXIT_OK
 
 
+def _worker_count(requested: int) -> int:
+    """Processes for `asymptotics --threads`: at least 1, at most one per CPU."""
+    return max(1, min(requested, os.cpu_count() or 1))
+
+
 def _slope_from_logs(logs: list[float], window: int) -> float:
     wmax = [max(logs[i : i + window]) for i in range(len(logs) - window + 1)]
     ts = list(range(1, len(wmax) + 1))
@@ -276,7 +287,7 @@ def _slope_from_logs(logs: list[float], window: int) -> float:
 
 def cmd_construct(args) -> int:
     params = _resolve_params(args)
-    t = args.t or 1
+    t = args.t
     rec = build_record(params, t)
     parts = [rec.L.render()]
     for i, tr in enumerate(rec.transforms, start=1):
@@ -288,7 +299,7 @@ def cmd_construct(args) -> int:
 
 def cmd_delta(args) -> int:
     params = _resolve_params(args)
-    t = args.t or 1
+    t = args.t
     delta_t = guaranteed_divisor(params, t)
     log_dt = log_guaranteed_divisor(params, t)
     limit = divisor_rate(params, args.precision)

@@ -13,24 +13,25 @@ expression over those breakpoints.  Everything here is exact except the
 digamma evaluations, which carry explicit precision.
 
 All results are deterministic.  The exact integer/rational layer is safe to
-use from threads; the digamma layer leans on the floating-point library's
-process-global precision context, so run parallel numeric work in separate
+use from threads.  Digamma is a finite sum by Gauss's theorem, over
+per-denominator tables kept in a bounded cache (built on first use, never at
+import); the tables are immutable, but the floating-point library's precision
+context is process-global, so run parallel numeric work in separate
 processes (as the CLI does), not threads.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
-from math import floor
 from typing import Optional, Sequence
 
 import mpmath as mp
 
-from .errors import InternalCheckError, ParamError
+from .errors import ParamError
 from .exact import DensePoly, lcm_upto, primes_in_range
 from .legendre import ParamSet
 
@@ -73,14 +74,10 @@ def floor_gain(params: ParamSet, omega: Fraction) -> int:
     n = params.n
     if n > MAX_BRUTE_FORCE_N:
         raise ParamError(f"floor_gain brute force is capped at n <= {MAX_BRUTE_FORCE_N}")
-    p, q = params.p, params.q
-    base = sum(floor((p[j] + q[j]) * omega) for j in range(n))
-    best = 0
-    for sigma in permutations(range(n)):
-        s = sum(floor((p[j] + q[sigma[j]]) * omega) for j in range(n))
-        if s - base > best:
-            best = s - base
-    return best
+    num, den = omega.numerator, omega.denominator
+    floors = [[(pj + qk) * num // den for qk in params.q] for pj in params.p]
+    best = max(sum(map(list.__getitem__, floors, sigma)) for sigma in permutations(range(n)))
+    return best - sum(floors[j][j] for j in range(n))
 
 
 @dataclass(frozen=True)
@@ -95,7 +92,6 @@ class FloorGainProfile:
         return [(a, b, v) for a, b, v in zip(self.breakpoints, ends, self.values)]
 
     def value_at(self, omega: Fraction) -> int:
-        v = 0
         for a, b, val in self.segments():
             if a <= omega < b:
                 return val
@@ -178,71 +174,54 @@ def log_guaranteed_divisor(params: ParamSet, t: int) -> float:
 # digamma and the limit constant
 # ---------------------------------------------------------------------------
 
-_BERNOULLI: list[Fraction] = [Fraction(1)]
-_BERNOULLI_LOCK = threading.Lock()
-
-
-def _bernoulli(m: int) -> Fraction:
-    """B_m (B_1 = -1/2 convention), cached, by the defining recurrence."""
-    from math import comb
-    with _BERNOULLI_LOCK:  # cache extension must stay index-aligned
-        while len(_BERNOULLI) <= m:
-            k = len(_BERNOULLI)
-            acc = Fraction(0)
-            for i in range(k):
-                acc += comb(k + 1, i) * _BERNOULLI[i]
-            _BERNOULLI.append(-acc / (k + 1))
-        return _BERNOULLI[m]
+@lru_cache(maxsize=64)
+def _gauss_tables(m: int, work: int) -> tuple:
+    """The numerator-free parts of Gauss's theorem for denominator m at
+    `work` bits: -gamma - log(2m), cos(2 pi j/m) for 0 <= j <= m/2, and
+    log sin(pi n/m) for 1 <= n <= (m-1)/2.  Built on first use."""
+    with mp.workprec(work):
+        base = -mp.euler - mp.log(2 * m)
+        cosines = tuple(mp.cospi(mp.mpf(2 * j) / m) for j in range(m // 2 + 1))
+        logsines = tuple(mp.log(mp.sinpi(mp.mpf(n) / m)) for n in range(1, (m - 1) // 2 + 1))
+    return base, cosines, logsines
 
 
 def digamma(x: Fraction, precision: int) -> mp.mpf:
     """psi(x) for rational x > 0 to `precision` bits.
 
-    Shifts the argument into the asymptotic regime with the exact recurrence
-    psi(x) = psi(x + k) - sum 1/(x + i), then sums the Euler-Maclaurin tail
-    log x - 1/(2x) - sum B_{2j} / (2j x^{2j}) until the next term drops below
-    the target, which bounds the truncation error for real arguments.  The
-    smallest reachable term is about e^(-2 pi X) at shift target X, so X is
-    sized with a margin over work * ln2 / (2 pi); if rounding still lets the
-    terms bottom out early, the shift is enlarged and the sum restarted.
+    Writes x = k + r/m with 0 < r <= m and gcd(r, m) = 1, and adds the exact
+    rational sum_{i<k} 1/(r/m + i) to psi(r/m).  psi(1) = -gamma, and for
+    0 < r < m Gauss's digamma theorem (DLMF §5.4(iii)) gives the finite sum
+
+        psi(r/m) = -gamma - log(2m) - (pi/2) cot(pi r/m)
+                   + 2 sum_{n=1}^{floor((m-1)/2)} cos(2 pi n r/m) log sin(pi n/m).
+
+    Error budget: everything runs at work = precision + 16 + bitlen(m) bits.
+    There are about m roundings, each below 2^-work times a partial sum of
+    size at most m log m, and the rounded arguments of cot and log sin are
+    amplified by at most m^2; so the absolute error stays below
+    m^2 (1 + log m) 2^-work, which is under 2^-precision for m < 2^12.
     """
     x = Fraction(x)
     if x <= 0:
         raise ParamError("digamma requires x > 0")
-    work = precision + 48
-    target = max(16, int(work * 0.13) + 2)
-    for _ in range(4):
-        shift = max(0, target - int(x))
-        correction = Fraction(0)
-        for i in range(shift):
-            correction += Fraction(1) / (x + i)
-        xs = x + shift
-        with mp.workprec(work):
-            xf = mp.mpf(xs.numerator) / xs.denominator
-            result = mp.log(xf) - 1 / (2 * xf)
-            x2 = xf * xf
-            xpow = x2
-            j = 1
-            eps = mp.mpf(2) ** (-work)
-            converged = False
-            prev = mp.mpf("inf")
-            while True:
-                b = _bernoulli(2 * j)
-                term = (mp.mpf(b.numerator) / b.denominator) / (2 * j * xpow)
-                result -= term
-                if abs(term) < eps:
-                    converged = True
-                    break
-                if abs(term) > prev:
-                    break  # divergent tail reached before the threshold
-                prev = abs(term)
-                j += 1
-                xpow *= x2
-            if converged:
-                result -= mp.mpf(correction.numerator) / correction.denominator
-                return +result
-        target *= 2
-    raise InternalCheckError("digamma series failed to converge at any shift")
+    m = x.denominator
+    k, r = divmod(x.numerator, m)
+    if r == 0:
+        k, r = k - 1, 1  # m == 1: psi(k) = psi(1) + H_{k-1}
+    shift = sum((Fraction(m, r + i * m) for i in range(k)), Fraction(0))
+    work = precision + 16 + m.bit_length()
+    with mp.workprec(work):
+        if m == 1:
+            result = -mp.euler
+        else:
+            base, cosines, logsines = _gauss_tables(m, work)
+            acc = mp.mpf(0)
+            for n, logsine in enumerate(logsines, start=1):
+                j = n * r % m
+                acc += cosines[min(j, m - j)] * logsine
+            result = base - mp.pi / 2 * mp.cot(mp.pi * r / m) + 2 * acc
+        return +(result + mp.mpf(shift.numerator) / shift.denominator)
 
 
 def divisor_rate(params: ParamSet, precision: int = 192,

@@ -29,6 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import permutations
 from typing import Optional, Sequence
 
 import mpmath as mp
@@ -416,7 +417,7 @@ def check_pair_symmetry(params: ParamSet, t: int, rng: random.Random) -> Identit
     idx = list(range(params.n))
     trials = 6 if params.n > 3 else None
     perms = ([tuple(rng.sample(idx, len(idx))) for _ in range(trials)] if trials
-             else list(__import__("itertools").permutations(idx)))
+             else list(permutations(idx)))
     for perm in perms:
         p = tuple(params.p[i] for i in perm)
         q = tuple(params.q[i] for i in perm)

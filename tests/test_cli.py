@@ -78,6 +78,12 @@ class TestBoundCommand:
         assert code == 0
         assert json.loads(out)["params"]["z"] == "-1/1"
 
+    def test_missing_config_file_is_usage_error(self, capsys, tmp_path):
+        missing = tmp_path / "absent.cfg"
+        code, _, err = run(capsys, "bound", "--config", str(missing))
+        assert code == 2
+        assert "usage error" in err and "absent.cfg" in err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, _, _ = run(capsys, "bound", "--preset", "hmv-n2",
@@ -116,6 +122,11 @@ class TestConstructCommand:
         assert code == 0
         assert "# transform 1" in out
 
+    def test_zero_scale_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "construct", "--preset", "log2-m1", "--t", "0")
+        assert code == 2
+        assert "usage error" in err and out == ""
+
 
 class TestDeltaCommand:
     def test_example_values(self, capsys, example1):
@@ -125,6 +136,11 @@ class TestDeltaCommand:
         payload = json.loads(out)
         assert payload["divisor"] == "18579448222667298067513"
         assert payload["rate_limit"].startswith("4.995102335817")
+
+    def test_zero_scale_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "delta", "--preset", "log2-m1", "--t", "0")
+        assert code == 2
+        assert "usage error" in err and out == ""
 
 
 class TestAsymptoticsCommand:
@@ -147,6 +163,15 @@ class TestAsymptoticsCommand:
         _, parallel, _ = run(capsys, "asymptotics", "--preset", "log2-m1",
                              "--sequence", "L", "--t-max", "8", "--threads", "2")
         assert serial == parallel
+
+    def test_worker_count_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert cli._worker_count(64) == 2
+        assert cli._worker_count(2) == 2
+        assert cli._worker_count(1) == 1
+        assert cli._worker_count(0) == 1
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli._worker_count(8) == 1
 
     def test_missing_t_max(self, capsys):
         code, _, err = run(capsys, "asymptotics", "--preset", "log2-m1")

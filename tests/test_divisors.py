@@ -1,6 +1,9 @@
+import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -24,9 +27,29 @@ from loglegendre.legendre import (
     build_record,
     trivial_clearing_multiplier,
 )
+from loglegendre.measures import preset_catalog
 
 # frozen by an independent per-prime run of the defining product
 EXAMPLE1_DIVISOR_T12 = 18579448222667298067513
+
+# to_json() of every preset's profile, frozen from the Fraction-floor search
+PRESET_PROFILES = Path(__file__).resolve().parent / "data" / "preset_profiles.json"
+
+
+def preset_breakpoints() -> list[Fraction]:
+    """Every point where a preset's divisor rate evaluates digamma."""
+    pts = {Fraction(1)}
+    for params in preset_catalog().values():
+        pts.update(floor_gain_profile(params).breakpoints)
+    pts.discard(Fraction(0))
+    return sorted(pts)
+
+
+def floor_gain_by_definition(params, omega: Fraction) -> int:
+    n = params.n
+    diag = sum(math.floor((params.p[j] + params.q[j]) * omega) for j in range(n))
+    return max(sum(math.floor((params.p[j] + params.q[s[j]]) * omega) for j in range(n))
+               for s in itertools.permutations(range(n))) - diag
 
 
 class TestExponentProfile:
@@ -66,6 +89,24 @@ class TestFloorGain:
     def test_range_validation(self, example1):
         with pytest.raises(ParamError):
             floor_gain(example1, Fraction(1))
+
+    def test_against_definition_random_corpus(self):
+        rng = random.Random(33)
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            params = ParamSet(p=tuple(rng.randint(1, 12) for _ in range(n)),
+                              q=tuple(rng.randint(0, 12) for _ in range(n)),
+                              z=Fraction(-1))
+            omegas = {Fraction(0)} | {Fraction(rng.randint(0, d - 1), d)
+                                      for d in (rng.randint(1, 30) for _ in range(12))}
+            for omega in sorted(omegas):
+                assert floor_gain(params, omega) == floor_gain_by_definition(params, omega), \
+                    f"p={params.p} q={params.q} omega={omega}"
+
+    def test_brute_force_cap(self):
+        params = ParamSet(p=(1,) * 10, q=(0,) * 10, z=Fraction(-1))
+        with pytest.raises(ParamError):
+            floor_gain(params, Fraction(1, 2))
 
     def test_nonnegative(self, example1):
         rng = random.Random(30)
@@ -107,6 +148,11 @@ class TestProfile:
         for _ in range(60):
             omega = Fraction(rng.randint(0, 419), 420)
             assert prof.value_at(omega) == floor_gain(example1, omega)
+
+    def test_preset_profiles_frozen(self):
+        frozen = json.loads(PRESET_PROFILES.read_text())
+        for name, params in preset_catalog().items():
+            assert floor_gain_profile(params).to_json() == json.dumps(frozen[name], indent=2), name
 
     def test_json_round_trip(self, example1):
         prof = floor_gain_profile(example1)
@@ -167,6 +213,28 @@ class TestDigamma:
                 want = mp.digamma(mp.mpf(x.numerator) / x.denominator)
                 got = digamma(x, 256)
                 assert abs(got - want) < mp.mpf(2) ** -240
+
+    @staticmethod
+    def assert_matches_mpmath(points, precision):
+        with mp.workprec(precision + 64):
+            for x in points:
+                want = mp.digamma(mp.mpf(x.numerator) / x.denominator)
+                assert abs(digamma(x, precision) - want) < mp.mpf(2) ** -precision, \
+                    f"x={x} at {precision} bits"
+
+    def test_preset_breakpoints_against_mpmath_512(self):
+        extra = [Fraction(1), Fraction(7), Fraction(5, 2), Fraction(61, 43)]
+        self.assert_matches_mpmath(preset_breakpoints() + extra, 512)
+
+    def test_against_mpmath_4096(self):
+        # mpmath needs ~0.15 s per point at 4096 bits, so every breakpoint is
+        # checked at 512 bits above, and here one per denominator, which
+        # still covers every per-denominator table
+        largest = {}
+        for x in preset_breakpoints():
+            largest[x.denominator] = x
+        extra = [Fraction(1), Fraction(7), Fraction(5, 2), Fraction(61, 43)]
+        self.assert_matches_mpmath(sorted(largest.values()) + extra, 4096)
 
     def test_domain(self):
         with pytest.raises(ParamError):

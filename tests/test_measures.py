@@ -60,6 +60,10 @@ class TestMeasureBound:
         rep = measure_bound(preset_catalog()["hmv-n2"], 256)
         assert abs(rep.approx_exponent - mp.mpf("3.891399770739906")) < 1e-12
 
+    def test_second_order_log2_at_4096_bits(self):
+        rep = measure_bound(preset_catalog()["log2-m2"], 4096)
+        assert abs(rep.approx_exponent - mp.mpf("12.841618132152")) < 1e-8
+
     def test_natural_hypothesis_failure(self):
         # tiny |z| pushes the core so high that the decay rate goes negative
         params = ParamSet(p=(1, 1), q=(0, 0), z=Fraction(-1, 99), m=1)
