@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: bound, verify, asymptotics, construct, delta, presets.
-Exit codes: 0 success, 2 usage error, 3 theorem-hypothesis failure,
-4 internal invariant violation.
+Exit codes: 0 success, 1 standard output closed early (a broken pipe),
+2 usage error, 3 theorem-hypothesis failure, 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .series import (
 )
 from .spectral import spectral_data
 
-EXIT_OK, EXIT_USAGE, EXIT_HYPOTHESIS, EXIT_INTERNAL = 0, 2, 3, 4
+EXIT_OK, EXIT_BROKEN_PIPE, EXIT_USAGE, EXIT_HYPOTHESIS, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -393,7 +393,15 @@ def main(argv=None) -> int:
     if precision is not None and precision < 64:
         ap.exit(EXIT_USAGE, "precision must be at least 64 bits\n")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head`): send the rest of the output,
+        # and the flush at interpreter exit, to devnull instead of a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ParamError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -227,15 +227,23 @@ def digamma(x: Fraction, precision: int) -> mp.mpf:
 def divisor_rate(params: ParamSet, precision: int = 192,
                  profile: Optional[FloorGainProfile] = None) -> mp.mpf:
     """The limit of (1/t) log Delta_t: sum mu(u) (psi(u') - psi(u)) over the
-    profile's steps, with u' the right endpoint (1 for the last one)."""
+    profile's steps, with u' the right endpoint (1 for the last one).
+
+    Collected by breakpoint, this is sum_u (mu_left(u) - mu_right(u)) psi(u)
+    over the breakpoints and 1, with mu = 0 left of 0 and from 1 on, so psi
+    is evaluated once at each point where mu jumps.
+    """
     if profile is None:
         profile = floor_gain_profile(params)
+    points = profile.breakpoints + (Fraction(1),)
+    left = (0,) + profile.values
+    right = profile.values + (0,)
     work = precision + 16
     with mp.workprec(work):
         total = mp.mpf(0)
-        for a, b, v in profile.segments():
-            if v:
-                total += v * (digamma(b, work) - digamma(a, work))
+        for u, lo, hi in zip(points, left, right):
+            if lo != hi:
+                total += (lo - hi) * digamma(u, work)
         return +total
 
 

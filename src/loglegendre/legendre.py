@@ -119,26 +119,16 @@ class LegendreRecord:
 # construction (integer fast path)
 # ---------------------------------------------------------------------------
 
-def _one_minus_z_row(k: int) -> list[int]:
-    """Coefficients of (1-z)^k."""
-    row = [0] * (k + 1)
-    b = 1
-    for i in range(k + 1):
-        row[i] = b if i % 2 == 0 else -b
-        b = b * (k - i) // (i + 1)
-    return row
-
-
 def _mul_one_minus_z_pow(c: list[int], k: int) -> list[int]:
-    if k == 0:
-        return c
-    row = _one_minus_z_row(k)
-    out = [0] * (len(c) + k)
-    for i, ci in enumerate(c):
-        if ci:
-            for j, rj in enumerate(row):
-                out[i + j] += ci * rj
-    return out
+    """Coefficients of (1-z)^k times c, as k first-difference passes.
+
+    Each pass maps c to the coefficients of (1-z) c, c_i - c_{i-1}, so the
+    product costs k big-integer subtractions per coefficient and no
+    multiplication.
+    """
+    for _ in range(k):
+        c = [a - b for a, b in zip(c + [0], [0] + c)]
+    return c
 
 
 def _dpq_int(p: int, q: int, c: list[int]) -> list[int]:
@@ -224,21 +214,80 @@ def legendre_reduced(params: ParamSet, t: int, L: Optional[DensePoly] = None) ->
 # the transform T
 # ---------------------------------------------------------------------------
 
+TRANSFORM_BLOCK = 256  # input coefficients per packed product in christoffel_transform
+
+
+def _toeplitz_tail(nums: list[int], inv: list[int], block: int = TRANSFORM_BLOCK) -> list[int]:
+    """out[i] = sum_{k>i} nums[k] inv[k-i] for 0 <= i < d = len(nums) - 1,
+    where inv[0] = 0 and inv[1] is the largest entry of inv (len(inv) = d+1).
+
+    Kronecker substitution: for each block [k0, k1) of input indices the
+    integers A = sum_r nums[k1-1-r] X^r and B = sum_{j<k1} inv[j] X^j, with
+    X = 2^(8w), are packed from w-byte slots and multiplied once, so CPython's
+    Karatsuba does the O(d^2) coefficient products.  Slot s of A*B is
+    c_s = sum_j nums[k1-1-s+j] inv[j] over the j with k1-1-s+j in the block,
+    the block's share of out[k1-1-s]; only the low k1 slots are decoded.
+
+    Width bound: |c_s| <= d * max|nums| * inv[1] < 2^(b - 2) with
+    b = bits(max|nums|) + bits(inv[1]) + bits(d) + 2 <= 8w, so every c_s
+    lies strictly inside (-X/4, X/4).
+
+    Carry argument: read as unsigned w-byte digits, the low k1 slots of A*B
+    (taken mod X^k1) are u_s = (c_s - b_{s-1}) mod X with b_{-1} = 0 and
+    b_s = [c_s - b_{s-1} < 0], the borrows of the signed slots.  Since
+    c_s - b_{s-1} lies in [-X/2, X/2), it is the two's-complement value of
+    u_s, so c_s = signed(u_s) + b_{s-1} and b_s = [signed(u_s) < 0].  A
+    itself is packed the same way: the two's-complement slots encode
+    A + sum_{nums[k1-1-r] < 0} X^(r+1), and that sum is subtracted.
+    """
+    d = len(nums) - 1
+    w = (max(map(abs, nums)).bit_length() + inv[1].bit_length() + d.bit_length() + 2 + 7) // 8
+    out = [0] * d
+    for k0 in range(1, d + 1, block):
+        k1 = min(k0 + block, d + 1)
+        rev = nums[k1 - 1:k0 - 1:-1]
+        a = int.from_bytes(b"".join([x.to_bytes(w, "little", signed=True) for x in rev]), "little")
+        borrow = bytearray(w * (len(rev) + 1))
+        for r, x in enumerate(rev):
+            if x < 0:
+                borrow[w * (r + 1)] = 1
+        a -= int.from_bytes(borrow, "little")
+        packed = bytearray(w * k1)
+        for j in range(1, k1):
+            packed[w * j:w * (j + 1)] = inv[j].to_bytes(w, "little")
+        # the product is the memory peak of the transform: free every
+        # buffer it does not need before it and the operands after it
+        b = int.from_bytes(packed, "little")
+        del packed
+        prod = a * b
+        del a, b
+        # two's complement bytes of the whole product; its low k1 slots are
+        # the product mod X^k1
+        low = memoryview(prod.to_bytes(w * (len(rev) + k1), "little", signed=True))
+        del prod
+        carry = 0  # slot 0 is nums[k1-1] * inv[0] = 0
+        for s in range(1, k1):
+            v = int.from_bytes(low[w * s:w * (s + 1)], "little", signed=True)
+            out[k1 - 1 - s] += v + carry
+            carry = v < 0
+    return out
+
+
 def christoffel_transform(P: DensePoly) -> DensePoly:
-    """T(P)(z) = integral_0^1 (P(z)-P(y))/(z-y) dy, via T(z^k) = sum_{i<k} z^i/(k-i)."""
+    """T(P)(z) = integral_0^1 (P(z)-P(y))/(z-y) dy, via T(z^k) = sum_{i<k} z^i/(k-i).
+
+    With P = (1/den) sum_k nums[k] z^k and big = lcm(1..d), the coefficient
+    of z^i is sum_{k>i} nums[k] (big/(k-i)) / (den big), a Toeplitz product
+    computed by :func:`_toeplitz_tail`.
+    """
     d = len(P.coeffs) - 1
     if d <= 0:
         return DensePoly()
     den = P.content_denominator()
-    nums = [int(c * den) for c in P.coeffs]
+    nums = [c.numerator * (den // c.denominator) for c in P.coeffs]
     big = lcm_upto(d)
     inv = [0] + [big // j for j in range(1, d + 1)]  # big/j
-    out = [0] * d
-    for k in range(1, d + 1):
-        ck = nums[k]
-        if ck:
-            for i in range(k):
-                out[i] += ck * inv[k - i]
+    out = _toeplitz_tail(nums, inv)
     full_den = den * big
     return DensePoly([Fraction(c, full_den) for c in out])
 

@@ -8,10 +8,12 @@ product of binomials,
 
     Q(k) = prod_j C(k + p_j t, (p_j + q_j) t),
 
-which this module uses to rebuild the polynomial by exact interpolation,
-giving a brute-force oracle that never touches the differential operators.
-It also hosts the combinatorial identities tying the transform T to the
-formal k-derivative of Q.
+a polynomial in k.  This module rebuilds the Legendre polynomial from
+integer Newton differences of Q at k = -1, ..., -(d+1) (d = M t), giving a
+brute-force oracle that never touches the differential operators.  It also
+hosts the basis change P <-> Q, interpolation at k = 0..d, and the
+combinatorial identities tying the transform T to the formal k-derivative
+of Q.
 """
 
 from __future__ import annotations
@@ -64,16 +66,26 @@ class KPolynomial:
         return KPolynomial([-c for c in self.coeffs])
 
 
-def series_coefficient(params: ParamSet, t: int, k: int) -> int:
-    """k-th series coefficient prod_j C(k + p_j t, (p_j + q_j) t), exact."""
-    if k < 0:
-        raise ParamError("k must be nonnegative")
+def _binomial_product(params: ParamSet, t: int, k: int) -> int:
+    """prod_j C(k + p_j t, (p_j + q_j) t), the polynomial Q at any integer k."""
     out = 1
     for p, q in params.pairs():
         out *= binomial_integer(k + p * t, (p + q) * t)
         if out == 0:
             return 0
     return out
+
+
+def series_coefficient(params: ParamSet, t: int, k: int) -> int:
+    """k-th series coefficient prod_j C(k + p_j t, (p_j + q_j) t), exact."""
+    if k < 0:
+        raise ParamError("k must be nonnegative")
+    return _binomial_product(params, t, k)
+
+
+def _times_one_minus_z(c: list[int]) -> list[int]:
+    """Coefficients of (1-z) c: one first-difference pass."""
+    return [a - b for a, b in zip(c + [0], [0] + c)]
 
 
 # ---------------------------------------------------------------------------
@@ -187,15 +199,28 @@ def series_k_polynomial(params: ParamSet, t: int) -> KPolynomial:
 
 
 def oracle_legendre(params: ParamSet, t: int, cap: int = DEFAULT_ORACLE_CAP) -> DensePoly:
-    """Rebuild the Legendre polynomial from its series coefficients alone."""
-    if params.total_degree * t > cap:
+    """Rebuild the Legendre polynomial from its series coefficients alone.
+
+    Write P = sum_j a_j (1-z)^j, so that Q(k) = sum_j a_j C(k+j, j).  Since
+    C(-1-u+j, j) = (-1)^j C(u, j), the values Q(-1-u) = sum_j (-1)^j a_j C(u, j)
+    are in Newton's forward-difference form: (-1)^j a_j is the j-th forward
+    difference at u = 0 of the integers Q(-1), Q(-2), ..., Q(-1-d), d = M t;
+    the binomial product is a polynomial in k, so it gives Q at negative k
+    too.  P then follows by Horner's rule in (1-z).  Integers only throughout.
+    """
+    d = params.total_degree * t
+    if d > cap:
         raise ParamError(f"oracle capped at M*t <= {cap}")
-    Q = series_k_polynomial(params, t)
-    P = q_to_p(Q)
-    bad = next((c for c in P.coeffs if c.denominator != 1), None)
-    if bad is not None:
-        raise InternalCheckError("oracle reconstruction is not integral")
-    return DensePoly([int(c) for c in P.coeffs])
+    values = [_binomial_product(params, t, -1 - u) for u in range(d + 1)]
+    a = []
+    while values:
+        a.append(-values[0] if len(a) % 2 else values[0])
+        values = [y - x for x, y in zip(values, values[1:])]
+    P: list[int] = []
+    for aj in reversed(a):
+        P = _times_one_minus_z(P)
+        P[0] += aj
+    return DensePoly(P)
 
 
 # ---------------------------------------------------------------------------

@@ -193,3 +193,26 @@ class TestExitCodeMapping:
     def test_low_precision_rejected(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["bound", "--preset", "log2-m1", "--precision", "32"])
+
+
+class TestBrokenPipe:
+    def test_reader_closing_early_gives_no_traceback(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        # about 350 kB of output, far more than a pipe buffers
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "loglegendre.cli", "construct", "--preset", "log2-m1", "--t", "40"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        code = proc.wait(timeout=120)
+        assert head == b"0/1\n0/1\n0/"
+        assert "Traceback" not in err
+        assert code == 1

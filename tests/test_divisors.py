@@ -301,3 +301,47 @@ class TestLcmGrowthSanity:
         n = 7
         rate = log_lcm_upto(n * t) / t
         assert abs(rate - n) / n < 0.05
+
+
+class TestDivisorRateByBreakpoint:
+    """divisor_rate evaluates psi once per point where mu jumps."""
+
+    @staticmethod
+    def pairwise_rate(profile: FloorGainProfile, precision: int) -> mp.mpf:
+        # the per-step formula sum mu(u) (psi(u') - psi(u)), psi from mpmath
+        work = precision + 16
+        with mp.workprec(work):
+            total = mp.mpf(0)
+            for a, b, v in profile.segments():
+                if v:
+                    total += v * (mp.digamma(mp.mpf(b.numerator) / b.denominator)
+                                  - mp.digamma(mp.mpf(a.numerator) / a.denominator))
+            return +total
+
+    def test_one_call_per_jump(self, monkeypatch):
+        from loglegendre import divisors
+        calls = []
+
+        def counting(x, precision):
+            calls.append(x)
+            return digamma(x, precision)
+
+        monkeypatch.setattr(divisors, "digamma", counting)
+        total = 0
+        for name, params in preset_catalog().items():
+            profile = floor_gain_profile(params)
+            calls.clear()
+            divisor_rate(params, 512, profile=profile)
+            ends = list(profile.breakpoints[1:]) + [Fraction(1)]
+            jumps = {u for u, v, w in zip(ends, profile.values, profile.values[1:] + (0,)) if v != w}
+            assert sorted(calls) == sorted(jumps), name
+            total += len(calls)
+        assert total == 320  # the per-step formula made 544 calls
+
+    @pytest.mark.parametrize("precision", [128, 512])
+    def test_against_pairwise_formula(self, precision):
+        for name, params in preset_catalog().items():
+            profile = floor_gain_profile(params)
+            got = divisor_rate(params, precision, profile=profile)
+            want = self.pairwise_rate(profile, precision)
+            assert abs(got - want) <= abs(want) * mp.mpf(2) ** -(precision - 8), name
