@@ -5,7 +5,6 @@ from .exact import (
     DensePoly,
     binomial_integer,
     lcm_upto,
-    log_lcm_upto,
     normalized_derivative,
     prime_valuation,
     primes_in_range,
@@ -26,7 +25,6 @@ from .legendre import (
     transform_iterates,
 )
 from .series import (
-    KPolynomial,
     derivative_series_identity,
     hyperharmonic_identity,
     oracle_legendre,
@@ -55,6 +53,7 @@ from .spectral import (
     recurrence_witness,
     spectral_data,
     windowed_growth_rate,
+    windowed_log_maxima,
 )
 from .measures import MeasureReport, growth_decay_rates, measure_bound, preset_catalog
 

@@ -30,6 +30,7 @@ from .exact import DensePoly
 from .legendre import (
     ParamSet,
     build_record,
+    eval_at_rational,
     legendre_poly,
     reduced_form_value,
     structural_identity_suite,
@@ -40,7 +41,7 @@ from .series import (
     hyperharmonic_identity,
     oracle_legendre,
 )
-from .spectral import spectral_data
+from .spectral import spectral_data, windowed_growth_rate, windowed_log_maxima
 
 EXIT_OK, EXIT_BROKEN_PIPE, EXIT_USAGE, EXIT_HYPOTHESIS, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
@@ -218,16 +219,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK if total == 0 else EXIT_INTERNAL
 
 
-def _asym_point(job) -> tuple[int, float]:
+def _asym_point(job) -> tuple[int, object]:
+    """(t, |value|): the exact |L(z)| for the L sequence, the reduced form
+    as an mpf for the I sequence."""
     kind, params, t, precision = job
     L = legendre_poly(params, t)
     if kind == "L":
-        from .legendre import eval_at_rational
-        val = eval_at_rational(L, params.z)
-        with mp.workprec(64):
-            return t, float(mp.log(abs(mp.mpf(val.numerator)) / val.denominator))
-    val = reduced_form_value(params, t, 1, precision, L=L)
-    return t, float(mp.log(abs(val)))
+        return t, abs(eval_at_rational(L, params.z))
+    return t, abs(reduced_form_value(params, t, 1, precision, L=L))
 
 
 def cmd_asymptotics(args) -> int:
@@ -244,10 +243,9 @@ def cmd_asymptotics(args) -> int:
             pairs = sorted(pool.map(_asym_point, jobs))
     else:
         pairs = [_asym_point(j) for j in jobs]
-    logs = [v for _, v in pairs]
-    window = params.n
-    wmax = [max(logs[i : i + window]) for i in range(len(logs) - window + 1)]
-    slope = _slope_from_logs(logs, window)
+    values = [v for _, v in pairs]
+    wmax = windowed_log_maxima(values, params.n)
+    slope = windowed_growth_rate(values, params.n)
     sd = spectral_data(params, max(args.precision, 128))
     if seq == "L":
         target = float(sd.log_v_max)
@@ -271,18 +269,6 @@ def cmd_asymptotics(args) -> int:
 def _worker_count(requested: int) -> int:
     """Processes for `asymptotics --threads`: at least 1, at most one per CPU."""
     return max(1, min(requested, os.cpu_count() or 1))
-
-
-def _slope_from_logs(logs: list[float], window: int) -> float:
-    wmax = [max(logs[i : i + window]) for i in range(len(logs) - window + 1)]
-    ts = list(range(1, len(wmax) + 1))
-    half = len(wmax) // 2
-    xs, ys = ts[half:], wmax[half:]
-    k = len(xs)
-    sx, sy = sum(xs), sum(ys)
-    sxx = sum(x * x for x in xs)
-    sxy = sum(x * y for x, y in zip(xs, ys))
-    return (k * sxy - sx * sy) / (k * sxx - sx * sx)
 
 
 def cmd_construct(args) -> int:

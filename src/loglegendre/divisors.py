@@ -23,10 +23,12 @@ processes (as the CLI does), not threads.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from math import isqrt, log
 from typing import Optional, Sequence
 
 import mpmath as mp
@@ -92,10 +94,9 @@ class FloorGainProfile:
         return [(a, b, v) for a, b, v in zip(self.breakpoints, ends, self.values)]
 
     def value_at(self, omega: Fraction) -> int:
-        for a, b, val in self.segments():
-            if a <= omega < b:
-                return val
-        raise ParamError("omega outside [0, 1)")
+        if not 0 <= omega < 1:
+            raise ParamError("omega outside [0, 1)")
+        return self.values[bisect_right(self.breakpoints, omega) - 1]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -137,36 +138,36 @@ def floor_gain_profile(params: ParamSet) -> FloorGainProfile:
 # the divisor Delta_t and its growth rate
 # ---------------------------------------------------------------------------
 
-def guaranteed_divisor(params: ParamSet, t: int) -> int:
-    """Delta_t = prod s^mu({t/s}) over primes s with s^2 > N_1 t.
+def _prime_gains(params: ParamSet, t: int):
+    """(s, mu({t/s})) for the primes s with s^2 > N_1 t, ascending, where
+    the gain is nonzero; mu is looked up in the step profile.
 
     Primes above N_1 t contribute nothing: there {t/s} = t/s < 1/N_1, below
     the smallest breakpoint, so the product is finite.
     """
+    n1t = exponent_profile(params).cross_sums[0] * t
+    profile = floor_gain_profile(params)
+    for s in primes_in_range(isqrt(n1t), n1t):
+        gain = profile.value_at(Fraction(t % s, s))
+        if gain:
+            yield s, gain
+
+
+def guaranteed_divisor(params: ParamSet, t: int) -> int:
+    """Delta_t = prod s^mu({t/s}) over primes s with s^2 > N_1 t."""
     if t < 1:
         raise ParamError("t must be >= 1")
-    n1t = exponent_profile(params).cross_sums[0] * t
     out = 1
-    for s in primes_in_range(1, n1t):
-        if s * s <= n1t:
-            continue
-        gain = floor_gain(params, Fraction(t % s, s))
-        if gain:
-            out *= s**gain
+    for s, gain in _prime_gains(params, t):
+        out *= s**gain
     return out
 
 
 def log_guaranteed_divisor(params: ParamSet, t: int) -> float:
     """log Delta_t as a float, without forming the big integer."""
-    from math import log
-    n1t = exponent_profile(params).cross_sums[0] * t
     total = 0.0
-    for s in primes_in_range(1, n1t):
-        if s * s <= n1t:
-            continue
-        gain = floor_gain(params, Fraction(t % s, s))
-        if gain:
-            total += gain * log(s)
+    for s, gain in _prime_gains(params, t):
+        total += gain * log(s)
     return total
 
 

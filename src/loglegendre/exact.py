@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, isqrt, log
+from math import comb, factorial, gcd, isqrt
 from typing import Iterable, Union
 
 Rational = Union[int, Fraction]
@@ -93,19 +93,6 @@ def lcm_upto(l: int) -> int:
             pk *= p
         out *= pk
     return out
-
-
-def log_lcm_upto(l: int) -> float:
-    """log lcm(1..l) as a float (Chebyshev psi function), cheap for large l."""
-    if l <= 1:
-        return 0.0
-    total = 0.0
-    for p in primes_in_range(1, l):
-        pk = p
-        while pk * p <= l:
-            pk *= p
-        total += log(pk)
-    return total
 
 
 def prime_valuation(s: int, m: int) -> int:
@@ -217,12 +204,6 @@ class DensePoly:
             base = base * base
             k >>= 1
         return out
-
-    def shift(self, k: int) -> "DensePoly":
-        """Multiply by z**k."""
-        if not self.coeffs:
-            return self
-        return DensePoly([0] * k + list(self.coeffs))
 
     def evaluate(self, x: Rational) -> Rational:
         acc: Rational = 0

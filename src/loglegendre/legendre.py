@@ -30,6 +30,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 from typing import Optional, Sequence
 
 import mpmath as mp
@@ -131,13 +132,12 @@ def _mul_one_minus_z_pow(c: list[int], k: int) -> list[int]:
     return c
 
 
-def _dpq_int(p: int, q: int, c: list[int]) -> list[int]:
-    """Apply D[p,q] to an integer coefficient list; closed over the integers."""
+def _dpq_core(p: int, q: int, c: list[int]) -> list[int]:
+    """D_{p+q}( z^p (1-z)^q c ) for an integer coefficient list c: the part of
+    D[p,q] inside the boundary factor z^q (1-z)^p."""
     x = _mul_one_minus_z_pow(c, q)
     m = p + q
-    if len(x) + p <= m:
-        return []
-    # D_{p+q}(z^p * x): coefficient j of x contributes C(j+p, m) at z^{j-q}
+    # coefficient j of x contributes C(j+p, m) at z^{j-q}, nothing for j < q
     y = []
     b = 1  # C(q+p, m) = 1, then C(j+p+1, m) = C(j+p, m)(j+p+1)/(j+p+1-m)
     jp = q + p
@@ -145,8 +145,12 @@ def _dpq_int(p: int, q: int, c: list[int]) -> list[int]:
         y.append(b * x[j])
         b = b * (jp + 1) // (jp + 1 - m)
         jp += 1
-    out = _mul_one_minus_z_pow(y, p)
-    return [0] * q + out
+    return y
+
+
+def _dpq_int(p: int, q: int, c: list[int]) -> list[int]:
+    """Apply D[p,q] to an integer coefficient list; closed over the integers."""
+    return [0] * q + _mul_one_minus_z_pow(_dpq_core(p, q, c), p)
 
 
 def _legendre_scaled(pairs: Sequence[tuple[int, int]], t: int) -> list[int]:
@@ -186,28 +190,20 @@ def legendre_poly(params: ParamSet, t: int) -> DensePoly:
     return poly
 
 
-def legendre_reduced(params: ParamSet, t: int, L: Optional[DensePoly] = None) -> DensePoly:
-    """Strip the forced boundary factors: (-1)^(q_1 t) z^(-q_1 t) (1-z)^(-p_1 t) L.
+def legendre_reduced(params: ParamSet, t: int) -> DensePoly:
+    """The reduced polynomial (-1)^(q_1 t) z^(-q_1 t) (1-z)^(-p_1 t) L.
 
-    The division is exact (the polynomial vanishes to order >= q_1 t at 0 and
-    >= p_1 t at 1); a nonzero remainder signals a construction bug.
+    The outermost operator D[p_1 t, q_1 t] puts the factor z^(q_1 t)
+    (1-z)^(p_1 t) around D_{(p_1+q_1) t}(...), so the reduced polynomial is
+    that inner part applied to the composition of the other pairs, signed.
     """
-    if L is None:
-        L = legendre_poly(params, t)
-    q1t, p1t = params.q[0] * t, params.p[0] * t
-    cs = list(L.coeffs)
-    if any(c != 0 for c in cs[:q1t]):
-        raise InternalCheckError("vanishing order at z=0 below q_1*t")
-    cs = cs[q1t:]
-    poly = DensePoly(cs)
-    for _ in range(p1t):
-        if poly.evaluate(1) != 0:
-            raise InternalCheckError("vanishing order at z=1 below p_1*t")
-        poly = poly.deflate_at_one()
-    # each deflation removed a factor (1-z); fix the overall sign
-    if q1t % 2:
-        poly = -poly
-    return poly
+    if t < 1:
+        raise ParamError("t must be >= 1")
+    (p1, q1), *rest = params.pairs()
+    core = _dpq_core(p1 * t, q1 * t, _legendre_scaled(rest, t))
+    if q1 * t % 2:
+        core = [-c for c in core]
+    return DensePoly(core)
 
 
 # ---------------------------------------------------------------------------
@@ -479,10 +475,7 @@ def check_pair_symmetry(params: ParamSet, t: int, rng: random.Random) -> Identit
 def _factorial_multiplier(p: Sequence[int], q: Sequence[int], t: int) -> int:
     out = 1
     for a, b in zip(p, q):
-        f = 1
-        for i in range(2, (a + b) * t + 1):
-            f *= i
-        out *= f
+        out *= factorial((a + b) * t)
     return out
 
 
@@ -515,10 +508,8 @@ def check_unit_interval_bound(params: ParamSet, t: int,
                               step: Fraction = DEFAULT_GRID_STEP) -> IdentityReport:
     """Grid-sampled sup of |reduced polynomial| on [0,1] against (Mt)!/prod((p+q)t)!."""
     core = legendre_reduced(params, t)
-    bound = Fraction(1)
-    for i in range(2, params.total_degree * t + 1):
-        bound *= i
-    bound /= _factorial_multiplier(params.p, params.q, t)
+    bound = Fraction(factorial(params.total_degree * t),
+                     _factorial_multiplier(params.p, params.q, t))
     x = Fraction(0)
     while x <= 1:
         val = abs(core.evaluate(x))

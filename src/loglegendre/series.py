@@ -13,57 +13,19 @@ integer Newton differences of Q at k = -1, ..., -(d+1) (d = M t), giving a
 brute-force oracle that never touches the differential operators.  It also
 hosts the basis change P <-> Q, interpolation at k = 0..d, and the
 combinatorial identities tying the transform T to the formal k-derivative
-of Q.
+of Q.  Polynomials in k are :class:`DensePoly` values, like those in z.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InternalCheckError, ParamError
 from .exact import DensePoly, Rational, binomial_integer
 from .legendre import ParamSet, christoffel_transform
 
 DEFAULT_ORACLE_CAP = 200
-
-
-@dataclass(frozen=True)
-class KPolynomial:
-    """Polynomial in the series summation variable k, dense, lowest degree first."""
-
-    coeffs: tuple[Rational, ...]
-
-    def __init__(self, coeffs: Iterable[Rational] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else float("-inf")
-
-    def evaluate(self, k: Rational) -> Rational:
-        acc: Rational = 0
-        for c in reversed(self.coeffs):
-            acc = acc * k + c
-        return acc
-
-    def derivative(self, order: int = 1) -> "KPolynomial":
-        cs = list(self.coeffs)
-        for _ in range(order):
-            cs = [i * c for i, c in enumerate(cs)][1:]
-        return KPolynomial(cs)
-
-    def __eq__(self, other):
-        if isinstance(other, KPolynomial):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __neg__(self):
-        return KPolynomial([-c for c in self.coeffs])
 
 
 def _binomial_product(params: ParamSet, t: int, k: int) -> int:
@@ -105,29 +67,25 @@ def _rising_binomial_basis(deg: int) -> list[list[Fraction]]:
     return basis
 
 
-def p_to_q(P: DensePoly) -> KPolynomial:
-    """The Q with (1-z) P(z) = sum_k Q(k) w^k."""
+def p_to_q(P: DensePoly) -> DensePoly:
+    """The Q(k) with (1-z) P(z) = sum_k Q(k) w^k.
+
+    P(1-z) = sum_j a_j z^j gives P = sum_j a_j (1-z)^j, and each (1-z)^j
+    contributes a_j C(k+j, j) to Q.
+    """
     if P.is_zero():
-        return KPolynomial()
-    deg = len(P.coeffs) - 1
-    # expand P in powers of (1-z): P = sum_j a_j (1-z)^j
-    a = [Fraction(0)] * (deg + 1)
-    for j, c in enumerate(P.coeffs):
-        if c:
-            sign = 1
-            for i in range(j + 1):
-                a[i] += c * sign * binomial_integer(j, i)
-                sign = -sign
-    basis = _rising_binomial_basis(deg)
-    out = [Fraction(0)] * (deg + 1)
-    for j in range(deg + 1):
-        if a[j]:
+        return DensePoly()
+    a = P.compose_one_minus().coeffs
+    basis = _rising_binomial_basis(len(a) - 1)
+    out = [Fraction(0)] * len(a)
+    for j, aj in enumerate(a):
+        if aj:
             for i, b in enumerate(basis[j]):
-                out[i] += a[j] * b
-    return KPolynomial(out)
+                out[i] += aj * b
+    return DensePoly(out)
 
 
-def q_to_p(Q: KPolynomial) -> DensePoly:
+def q_to_p(Q: DensePoly) -> DensePoly:
     """Inverse basis change: the P with (1-z) P(z) = sum_k Q(k) w^k."""
     if not Q.coeffs:
         return DensePoly()
@@ -136,42 +94,29 @@ def q_to_p(Q: KPolynomial) -> DensePoly:
     rem = [Fraction(c) for c in Q.coeffs]
     a = [Fraction(0)] * (deg + 1)
     for j in range(deg, -1, -1):
-        lead = rem[j] if j < len(rem) else Fraction(0)
-        if lead:
-            aj = lead / basis[j][j]
+        if rem[j]:
+            aj = rem[j] / basis[j][j]
             a[j] = aj
             for i, b in enumerate(basis[j]):
                 rem[i] -= aj * b
     if any(rem):
         raise InternalCheckError("basis peel left a remainder")
     # P = sum_j a_j (1-z)^j
-    out = [Fraction(0)] * (deg + 1)
-    pw = [Fraction(1)]
-    for j in range(deg + 1):
-        if a[j]:
-            for i, c in enumerate(pw):
-                out[i] += a[j] * c
-        if j < deg:
-            nxt = [Fraction(0)] * (len(pw) + 1)
-            for i, c in enumerate(pw):
-                nxt[i] += c
-                nxt[i + 1] -= c
-            pw = nxt
-    return DensePoly(out)
+    return DensePoly(a).compose_one_minus()
 
 
 # ---------------------------------------------------------------------------
 # interpolation and the oracle
 # ---------------------------------------------------------------------------
 
-def interpolate_at_integers(values: Sequence[Rational]) -> KPolynomial:
+def interpolate_at_integers(values: Sequence[Rational]) -> DensePoly:
     """The unique polynomial of degree < len(values) through (i, values[i]).
 
     Forward differences on the nodes 0..d, assembled in the falling
     factorial basis C(k, j); exact throughout.
     """
     if not values:
-        return KPolynomial()
+        return DensePoly()
     diffs = [Fraction(v) for v in values]
     deg = len(values) - 1
     out = [Fraction(0)] * (deg + 1)
@@ -188,10 +133,10 @@ def interpolate_at_integers(values: Sequence[Rational]) -> KPolynomial:
                 nxt[i + 1] += b
                 nxt[i] -= b * j
             basis = [x / (j + 1) for x in nxt]
-    return KPolynomial(out)
+    return DensePoly(out)
 
 
-def series_k_polynomial(params: ParamSet, t: int) -> KPolynomial:
+def series_k_polynomial(params: ParamSet, t: int) -> DensePoly:
     """Q(k) recovered by interpolating the binomial products at k = 0..M*t."""
     d = params.total_degree * t
     return interpolate_at_integers(

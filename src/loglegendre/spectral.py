@@ -223,18 +223,14 @@ def spectral_data(params: ParamSet, precision: int = 512) -> SpectralData:
 # growth rate of a sequence (windowed max + slope fit)
 # ---------------------------------------------------------------------------
 
-def windowed_growth_rate(values: Sequence, window: int, t_start: int = 1) -> float:
-    """Estimate lim (1/t) log max(|f(t)|, ..., |f(t+window-1)|).
-
-    Takes |f(t)| values for consecutive t, forms the running window maximum,
-    and fits a least-squares line to its log over the upper half of the
-    range; the slope is the estimate.
-    """
+def windowed_log_maxima(values: Sequence, window: int) -> list[float]:
+    """log max(|f(t)|, ..., |f(t+window-1)|) for every full window of the
+    consecutive values |f(t)|; needs at least window + 3 values."""
     if window < 1:
         raise ParamError("window must be >= 1")
     mags = [abs(v) for v in values]
     if len(mags) < window + 3:
-        raise ParamError("need at least window + 3 values")
+        raise ParamError(f"need at least window + 3 = {window + 3} values, got {len(mags)}")
     if all(v == 0 for v in mags):
         raise ParamError("all-zero sequence has no growth rate")
     logs = []
@@ -243,6 +239,16 @@ def windowed_growth_rate(values: Sequence, window: int, t_start: int = 1) -> flo
         if m == 0:
             raise ParamError("window maximum vanished; sequence is degenerate")
         logs.append(float(mp.log(m)))
+    return logs
+
+
+def windowed_growth_rate(values: Sequence, window: int, t_start: int = 1) -> float:
+    """Estimate lim (1/t) log max(|f(t)|, ..., |f(t+window-1)|).
+
+    Fits a least-squares line to :func:`windowed_log_maxima` over the upper
+    half of the range; the slope is the estimate.
+    """
+    logs = windowed_log_maxima(values, window)
     ts = list(range(t_start, t_start + len(logs)))
     half = len(logs) // 2
     xs, ys = ts[half:], logs[half:]

@@ -177,6 +177,15 @@ class TestAsymptoticsCommand:
         code, _, err = run(capsys, "asymptotics", "--preset", "log2-m1")
         assert code == 2
 
+    @pytest.mark.parametrize("t_max", ["3", "0", "-3"])
+    def test_too_short_range_is_usage_error(self, capsys, t_max):
+        # log2-m1 has n = 3, so the window fit needs --t-max >= n + 3 = 6
+        code, out, err = run(capsys, "asymptotics", "--preset", "log2-m1",
+                             "--t-max", t_max)
+        assert code == 2
+        assert "usage error" in err and "Traceback" not in err
+        assert out == ""
+
 
 class TestExitCodeMapping:
     def test_internal_error_maps_to_4(self, capsys, monkeypatch):

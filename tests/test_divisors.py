@@ -21,7 +21,7 @@ from loglegendre.divisors import (
     strong_integrality_check,
 )
 from loglegendre.errors import ParamError
-from loglegendre.exact import DensePoly, log_lcm_upto
+from loglegendre.exact import DensePoly, lcm_upto
 from loglegendre.legendre import (
     ParamSet,
     build_record,
@@ -165,16 +165,23 @@ class TestGuaranteedDivisor:
         assert guaranteed_divisor(example1, 12) == EXAMPLE1_DIVISOR_T12
 
     def test_against_per_prime_oracle(self, example1):
-        # independent recomputation straight from the definition
+        # independent recomputation straight from the definition, for both
+        # the integer and the log variant (summed in the same prime order)
         from loglegendre.exact import primes_in_range
-        t = 9
-        n1t = 7 * t
-        want = 1
-        for s in primes_in_range(1, n1t):
-            if s * s <= n1t:
-                continue
-            want *= s ** floor_gain(example1, Fraction(t % s, s))
-        assert guaranteed_divisor(example1, t) == want
+        cases = [(example1, 9)] + [(params, t) for params in preset_catalog().values()
+                                   for t in (1, 6, 24, 64)]
+        for params, t in cases:
+            n1t = max(p + q for p in params.p for q in params.q) * t
+            want, want_log = 1, 0.0
+            for s in primes_in_range(1, n1t):
+                if s * s <= n1t:
+                    continue
+                gain = floor_gain(params, Fraction(t % s, s))
+                want *= s ** gain
+                if gain:
+                    want_log += gain * math.log(s)
+            assert guaranteed_divisor(params, t) == want, (params, t)
+            assert log_guaranteed_divisor(params, t) == want_log, (params, t)
 
     def test_n1_trivial(self):
         params = ParamSet(p=(2,), q=(1,), z=Fraction(-1))
@@ -299,7 +306,7 @@ class TestLcmGrowthSanity:
         # (1/t) log lcm(1..N t) is near N for large t
         t = 10**4
         n = 7
-        rate = log_lcm_upto(n * t) / t
+        rate = math.log(lcm_upto(n * t)) / t
         assert abs(rate - n) / n < 0.05
 
 

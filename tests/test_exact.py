@@ -9,7 +9,6 @@ from loglegendre.exact import (
     binomial_integer,
     count_real_roots_in,
     lcm_upto,
-    log_lcm_upto,
     normalized_derivative,
     prime_valuation,
     primes_in_range,
@@ -86,10 +85,6 @@ class TestLcm:
                 while pk * p <= l:
                     pk *= p
                 assert lcm_upto(l) % pk == 0
-
-    def test_log_agrees_with_exact(self):
-        for l in (10, 100, 500):
-            assert log_lcm_upto(l) == pytest.approx(math.log(lcm_upto(l)), rel=1e-12)
 
 
 class TestPrimes:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from loglegendre.corpus import oracle_corpus
 from loglegendre.errors import InternalCheckError, ParamError, PrecisionError
 from loglegendre.exact import DensePoly, normalized_derivative
 from loglegendre.legendre import (
@@ -21,6 +22,7 @@ from loglegendre.legendre import (
     structural_identity_suite,
     transform_iterates,
 )
+from loglegendre.measures import preset_catalog
 
 
 def poly(*cs):
@@ -102,7 +104,32 @@ class TestLegendrePoly:
             legendre_poly(example1, 0)
 
 
+def reduced_by_deflation(params, t):
+    """The reduced polynomial the long way: strip the q_1 t zeros of L, divide
+    (1-z) out p_1 t times, and fix the sign; checks both vanishing orders."""
+    L = legendre_poly(params, t)
+    q1t, p1t = params.q[0] * t, params.p[0] * t
+    assert not any(L.coeffs[:q1t]), "vanishing order at z=0 below q_1 t"
+    core = DensePoly(L.coeffs[q1t:])
+    for _ in range(p1t):
+        assert core.evaluate(1) == 0, "vanishing order at z=1 below p_1 t"
+        core = core.deflate_at_one()
+    return -core if q1t % 2 else core
+
+
 class TestReduced:
+    def test_against_deflation_route(self):
+        log2_m1 = preset_catalog()["log2-m1"]
+        cases = (oracle_corpus(seed=103, count=40, max_weight=40)
+                 + [(log2_m1, t) for t in range(1, 41)])
+        for params, t in cases:
+            assert legendre_reduced(params, t) == reduced_by_deflation(params, t), \
+                f"p={params.p} q={params.q} t={t}"
+
+    def test_t_validation(self, example1):
+        with pytest.raises(ParamError):
+            legendre_reduced(example1, 0)
+
     def test_n1_reduces_to_one(self):
         # all boundary factors stripped: (-1)^q z^-q (1-z)^-p (-z)^q (1-z)^p = 1
         params = ParamSet(p=(1,), q=(1,), z=Fraction(-1))
