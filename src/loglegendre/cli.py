@@ -56,6 +56,13 @@ def _parse_rational(text: str) -> Fraction:
         raise ParamError(f"cannot parse rational {text!r}") from exc
 
 
+def _parse_int(value, key: str) -> int:
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise ParamError(f"{key} must be an integer, got {value!r}") from exc
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.replace(" ", "").split(",") if x != "")
@@ -102,18 +109,21 @@ def _resolve_params(args) -> ParamSet:
         p=_parse_int_list(p) if isinstance(p, str) else p,
         q=_parse_int_list(q) if isinstance(q, str) else q,
         z=_parse_rational(z) if isinstance(z, str) else z,
-        m=int(m) if m is not None else None,
+        m=_parse_int(m, "m") if m is not None else None,
     )
     n = pick("n", "n")
-    if n is not None and int(n) != params.n:
+    if n is not None and _parse_int(n, "n") != params.n:
         raise ParamError(f"--n {n} contradicts the {params.n} exponent pairs given")
     return params
 
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise ParamError(f"cannot write --out file {out_path!r}: {exc}") from exc
     else:
         print(text)
 

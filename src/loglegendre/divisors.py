@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import isqrt, log
-from typing import Optional, Sequence
+from typing import Sequence
 
 import mpmath as mp
 
@@ -113,11 +113,13 @@ class FloorGainProfile:
             tuple(int(r["mu"]) for r in rows))
 
 
+@lru_cache(maxsize=64)
 def floor_gain_profile(params: ParamSet) -> FloorGainProfile:
     """Evaluate mu at every candidate breakpoint c/(p_i + q_j) and merge runs.
 
     The floors can only jump at fractions whose denominator is a cross sum,
-    so the candidate set is complete by construction.
+    so the candidate set is complete by construction.  Cached per parameter
+    set (the profile is immutable), so repeated callers share one build.
     """
     cands = {Fraction(0)}
     for s in set(p + q for p in params.p for q in params.q):
@@ -225,8 +227,7 @@ def digamma(x: Fraction, precision: int) -> mp.mpf:
         return +(result + mp.mpf(shift.numerator) / shift.denominator)
 
 
-def divisor_rate(params: ParamSet, precision: int = 192,
-                 profile: Optional[FloorGainProfile] = None) -> mp.mpf:
+def divisor_rate(params: ParamSet, precision: int = 192) -> mp.mpf:
     """The limit of (1/t) log Delta_t: sum mu(u) (psi(u') - psi(u)) over the
     profile's steps, with u' the right endpoint (1 for the last one).
 
@@ -234,8 +235,7 @@ def divisor_rate(params: ParamSet, precision: int = 192,
     over the breakpoints and 1, with mu = 0 left of 0 and from 1 on, so psi
     is evaluated once at each point where mu jumps.
     """
-    if profile is None:
-        profile = floor_gain_profile(params)
+    profile = floor_gain_profile(params)
     points = profile.breakpoints + (Fraction(1),)
     left = (0,) + profile.values
     right = profile.values + (0,)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, isqrt
+from math import comb, gcd, isqrt
 from typing import Iterable, Union
 
 Rational = Union[int, Fraction]
@@ -29,17 +29,14 @@ NEG_INF = float("-inf")
 def binomial_integer(nn: int, m: int) -> int:
     """Generalized binomial C(nn, m) = nn(nn-1)...(nn-m+1)/m! for any integer nn.
 
-    Exact; C(nn, m) = 0 when 0 <= nn < m, and the falling-factorial value
-    (possibly signed) when nn < 0.
+    Exact; C(nn, m) = 0 when 0 <= nn < m, and by reflection
+    C(nn, m) = (-1)^m C(m - nn - 1, m) when nn < 0.
     """
     if m < 0:
         raise ValueError("lower index must be nonnegative")
     if nn >= 0:
         return comb(nn, m)
-    num = 1
-    for i in range(m):
-        num *= nn - i
-    return num // factorial(m)  # exact: m consecutive integers
+    return (-1) ** m * comb(m - nn - 1, m)
 
 
 def _sieve_upto(n: int) -> bytearray:

@@ -38,7 +38,7 @@ import mpmath as mp
 from .errors import InternalCheckError, ParamError, PrecisionError
 from .exact import DensePoly, count_real_roots_in, lcm_upto
 
-DEFAULT_IDENTITY_CAP = 60          # largest M*t the identity suite will accept
+IDENTITY_CAP = 60                  # largest M*t the identity suite will accept
 DEFAULT_GRID_STEP = Fraction(1, 1000)
 DEFAULT_MAX_WORKING_BITS = 1 << 22
 
@@ -581,13 +581,11 @@ def trivial_clearing_multiplier(params: ParamSet, t: int) -> int:
 
 
 def structural_identity_suite(params: ParamSet, t: int,
-                              grid_step: Fraction = DEFAULT_GRID_STEP,
-                              cap: int = DEFAULT_IDENTITY_CAP,
-                              seed: int = 0) -> list[IdentityReport]:
+                              grid_step: Fraction = DEFAULT_GRID_STEP) -> list[IdentityReport]:
     """Run every applicable exact identity check on a small instance."""
-    if params.total_degree * t > cap:
-        raise ParamError(f"instance too large for identity suite (M*t > {cap})")
-    rng = random.Random(seed)
+    if params.total_degree * t > IDENTITY_CAP:
+        raise ParamError(f"instance too large for identity suite (M*t > {IDENTITY_CAP})")
+    rng = random.Random(0)
     L = legendre_poly(params, t)
     reports = [
         check_integer_coefficients(L),

@@ -29,7 +29,7 @@ from .divisors import (
 )
 from .errors import HypothesisError, ParamError
 from .legendre import ParamSet
-from .spectral import SpectralData, char_values, characteristic_roots
+from .spectral import SpectralData, spectral_data
 
 DEFAULT_PRECISION = 512
 
@@ -139,9 +139,9 @@ def measure_bound(params: ParamSet, precision: int = DEFAULT_PRECISION) -> Measu
     flags = {"monotonicity": True}  # enforced by ParamSet construction
 
     profile = floor_gain_profile(params)
-    delta = divisor_rate(params, precision, profile=profile)
+    delta = divisor_rate(params, precision)
 
-    spectral = char_values(params, characteristic_roots(params, precision))
+    spectral = spectral_data(params, precision)
     values = spectral.values
     with mp.workprec(precision + 16):
         # distinctness is scale-free: tiny conjugate pairs are still distinct

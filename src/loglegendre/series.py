@@ -25,7 +25,7 @@ from .errors import InternalCheckError, ParamError
 from .exact import DensePoly, Rational, binomial_integer
 from .legendre import ParamSet, christoffel_transform
 
-DEFAULT_ORACLE_CAP = 200
+ORACLE_CAP = 200
 
 
 def _binomial_product(params: ParamSet, t: int, k: int) -> int:
@@ -143,7 +143,7 @@ def series_k_polynomial(params: ParamSet, t: int) -> DensePoly:
         [series_coefficient(params, t, k) for k in range(d + 1)])
 
 
-def oracle_legendre(params: ParamSet, t: int, cap: int = DEFAULT_ORACLE_CAP) -> DensePoly:
+def oracle_legendre(params: ParamSet, t: int) -> DensePoly:
     """Rebuild the Legendre polynomial from its series coefficients alone.
 
     Write P = sum_j a_j (1-z)^j, so that Q(k) = sum_j a_j C(k+j, j).  Since
@@ -154,8 +154,8 @@ def oracle_legendre(params: ParamSet, t: int, cap: int = DEFAULT_ORACLE_CAP) -> 
     too.  P then follows by Horner's rule in (1-z).  Integers only throughout.
     """
     d = params.total_degree * t
-    if d > cap:
-        raise ParamError(f"oracle capped at M*t <= {cap}")
+    if d > ORACLE_CAP:
+        raise ParamError(f"oracle capped at M*t <= {ORACLE_CAP}")
     values = [_binomial_product(params, t, -1 - u) for u in range(d + 1)]
     a = []
     while values:

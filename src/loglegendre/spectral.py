@@ -17,6 +17,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Optional, Sequence
 
 import mpmath as mp
@@ -32,22 +33,13 @@ from .legendre import ParamSet, _legendre_scaled
 
 def characteristic_polynomial(params: ParamSet) -> DensePoly:
     """zeta prod(y + p_j) - (zeta - 1) prod(y - q_j), monic of degree n in y."""
-    zeta = params.z
-
-    def expand(roots_negated: Sequence[Fraction]) -> list[Fraction]:
-        cs = [Fraction(1)]
-        for r in roots_negated:
-            cs = [Fraction(0)] + cs
-            for i in range(len(cs) - 1):
-                cs[i] += r * cs[i + 1]
-        return cs
-
-    A = expand([Fraction(p) for p in params.p])
-    B = expand([Fraction(-q) for q in params.q])
-    coeffs = [zeta * a - (zeta - 1) * b for a, b in zip(A, B)]
-    if coeffs[-1] != 1:
+    zeta, one = params.z, DensePoly([1])
+    plus = prod((DensePoly([p, 1]) for p in params.p), start=one)
+    minus = prod((DensePoly([-q, 1]) for q in params.q), start=one)
+    poly = zeta * plus - (zeta - 1) * minus
+    if poly.coeffs[-1] != 1:
         raise InternalCheckError("characteristic polynomial is not monic")
-    return DensePoly(coeffs)
+    return poly
 
 
 @dataclass(frozen=True)
@@ -89,63 +81,20 @@ def _char_value_at(params: ParamSet, y, work: int):
         return +v
 
 
-def _aberth_roots(coeffs_frac: Sequence[Fraction], precision: int,
-                  max_rounds: int = 400):
-    """All complex roots of a monic exact-coefficient polynomial.
-
-    Simultaneous Aberth iteration at precision + guard bits, deterministic
-    starting points on a circle, run to a fixed-point tolerance of
-    2^-(precision + 24).
-    """
-    n = len(coeffs_frac) - 1
-    work = precision + 64
-    with mp.workprec(work):
-        cs = [mp.mpf(c.numerator) / c.denominator for c in coeffs_frac]
-
-        def poly_and_deriv(x):
-            acc = mp.mpc(0)
-            dacc = mp.mpc(0)
-            for c in reversed(cs):
-                dacc = dacc * x + acc
-                acc = acc * x + c
-            return acc, dacc
-
-        radius = 1 + max(abs(c) for c in cs[:-1]) if n else mp.mpf(1)
-        roots = [radius * mp.exp(mp.mpc(0, 2 * mp.pi * k / n + mp.mpf(2) / 5))
-                 for k in range(n)]
-        tol = mp.mpf(2) ** (-(precision + 24))
-        for rnd in range(max_rounds):
-            biggest = mp.mpf(0)
-            new = list(roots)
-            for i in range(n):
-                pv, dv = poly_and_deriv(roots[i])
-                if pv == 0:
-                    continue
-                if dv == 0:
-                    new[i] = roots[i] * (1 + tol) + tol  # nudge off a critical point
-                    biggest = max(biggest, mp.mpf(1))
-                    continue
-                newton = pv / dv
-                s = mp.mpc(0)
-                for j in range(n):
-                    if j != i:
-                        s += 1 / (roots[i] - roots[j])
-                corr = newton / (1 - newton * s)
-                new[i] = roots[i] - corr
-                biggest = max(biggest, abs(corr) / max(mp.mpf(1), abs(new[i])))
-            roots = new
-            if biggest < tol:
-                break
-        else:
-            raise PrecisionError(
-                f"root refinement did not converge (last step {mp.nstr(biggest, 8)})")
-        return [+r for r in roots]
-
-
 def characteristic_roots(params: ParamSet, precision: int = 512) -> SpectralData:
-    """All n roots, refined together, ordered by descending |v_h|."""
-    poly = characteristic_polynomial(params)
-    roots = _aberth_roots(list(map(Fraction, poly.coeffs)), precision)
+    """All n roots, ordered by descending |v_h| (ties by argument).
+
+    mpmath's Durand-Kerner iteration (`polyroots`) refines them together at
+    precision + 64 bits and stops once every root's last step is below
+    2^-(precision + 23); PrecisionError if that takes more than 200 steps.
+    The roots come back as mpc values rounded to precision + 24 bits.
+    """
+    coeffs = list(reversed(characteristic_polynomial(params).coeffs))
+    try:
+        with mp.workprec(precision + 24):
+            roots = mp.polyroots(coeffs, maxsteps=200, cleanup=False, extraprec=40)
+    except mp.mp.NoConvergence as exc:
+        raise PrecisionError(f"root refinement did not converge: {exc}") from exc
     work = precision + 64
     with mp.workprec(work):
         # deterministic ordering by the companion values
@@ -186,9 +135,12 @@ def char_values(params: ParamSet, spectral: SpectralData) -> SpectralData:
         values = []
         for y in spectral.roots:
             v = _char_value_at(params, y, work)
-            # legitimate values can be exponentially small; only a value that
-            # is zero at working precision marks a degenerate root collision
-            if v == 0 or abs(v) < mp.mpf(2) ** (-(precision - 64)):
+            # A true root cannot make v vanish: at y = q_j the characteristic
+            # polynomial is zeta prod_l (q_j + p_l) != 0, and at y = -p_j it
+            # is -(zeta - 1) prod_l (-p_j - q_l) != 0, since z is outside
+            # [0, 1].  Legitimate values can be exponentially small, so only
+            # an exact zero (a root not from this polynomial) is rejected.
+            if v == 0:
                 raise HypothesisError(
                     "a characteristic value vanishes (root collides with some q_j)")
             values.append(v)
@@ -242,14 +194,14 @@ def windowed_log_maxima(values: Sequence, window: int) -> list[float]:
     return logs
 
 
-def windowed_growth_rate(values: Sequence, window: int, t_start: int = 1) -> float:
+def windowed_growth_rate(values: Sequence, window: int) -> float:
     """Estimate lim (1/t) log max(|f(t)|, ..., |f(t+window-1)|).
 
     Fits a least-squares line to :func:`windowed_log_maxima` over the upper
     half of the range; the slope is the estimate.
     """
     logs = windowed_log_maxima(values, window)
-    ts = list(range(t_start, t_start + len(logs)))
+    ts = list(range(1, len(logs) + 1))
     half = len(logs) // 2
     xs, ys = ts[half:], logs[half:]
     k = len(xs)
@@ -266,6 +218,9 @@ def windowed_growth_rate(values: Sequence, window: int, t_start: int = 1) -> flo
 # per-scale recurrence witness by exact elimination
 # ---------------------------------------------------------------------------
 
+WITNESS_MAX_COLUMNS = 4000  # larger instances are refused, not eliminated
+WITNESS_MAX_ROWS = 2000
+
 @dataclass(frozen=True)
 class RecurrenceWitness:
     """Coefficient polynomials A_0..A_n with sum A_l * L^(t+l) = 0."""
@@ -277,9 +232,7 @@ class RecurrenceWitness:
         return all(c.is_zero() for c in self.coefficients)
 
 
-def recurrence_witness(params: ParamSet, t: int,
-                       max_columns: int = 4000,
-                       max_rows: int = 2000) -> Optional[RecurrenceWitness]:
+def recurrence_witness(params: ParamSet, t: int) -> Optional[RecurrenceWitness]:
     """Find A_0..A_n, deg A_l <= L + M(n-l), annihilating the scales t..t+n.
 
     L is the smallest integer above M n (n-1)/2 - n.  Columns z^i * P_{t+l}
@@ -295,7 +248,7 @@ def recurrence_witness(params: ParamSet, t: int,
     Lbound = M * n * (n - 1) // 2 - n + 1
     rows = Lbound + M * (t + n) + 1
     total_cols = sum(Lbound + M * (n - l) + 1 for l in range(n + 1))
-    if total_cols > max_columns or rows > max_rows:
+    if total_cols > WITNESS_MAX_COLUMNS or rows > WITNESS_MAX_ROWS:
         raise ParamError("instance too large for exact elimination")
     scaled = []
     for l in range(n + 1):

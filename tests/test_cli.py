@@ -91,6 +91,33 @@ class TestBoundCommand:
         assert code == 0
         assert json.loads(target.read_text())["params"]["n"] == 2
 
+    @pytest.mark.parametrize("line", ["m = one", "n = x"])
+    def test_non_integer_config_value_is_usage_error(self, capsys, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"z = -1\np = 4,5,3\nq = 1,2,0\n{line}\n")
+        code, out, err = run(capsys, "bound", "--config", str(cfg),
+                             "--precision", "128")
+        assert code == 2
+        assert "usage error" in err and "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, where):
+        target = tmp_path / "absent" / "report.json" if where == "missing-dir" else tmp_path
+        code, out, err = run(capsys, "bound", "--preset", "hmv-n2",
+                             "--precision", "128", "--out", str(target))
+        assert code == 2
+        assert "usage error" in err and "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("preset", ["log2-m1", "log2019-m4"])
+    def test_minimum_precision_succeeds(self, capsys, preset):
+        # 64 bits is the smallest precision accepted; tiny but legitimate
+        # characteristic values there must not count as vanishing
+        code, out, err = run(capsys, "bound", "--preset", preset, "--precision", "64")
+        assert code == 0, err
+        assert json.loads(out)["params"]["n"] >= 3
+
 
 class TestVerifyCommand:
     def test_hyperharmonic_suite(self, capsys):
@@ -198,6 +225,18 @@ class TestExitCodeMapping:
         code, _, err = run(capsys, "bound", "--preset", "log2-m1")
         assert code == 4
         assert "internal error" in err
+
+    def test_root_refinement_failure_maps_to_4(self, capsys, monkeypatch):
+        import mpmath as mp
+
+        def no_convergence(*a, **k):
+            raise mp.mp.NoConvergence("fabricated")
+
+        monkeypatch.setattr(mp, "polyroots", no_convergence)
+        code, out, err = run(capsys, "bound", "--preset", "log2-m1", "--precision", "128")
+        assert code == 4
+        assert "internal error" in err and "Traceback" not in err
+        assert out == ""
 
     def test_low_precision_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -159,6 +159,18 @@ class TestProfile:
         again = FloorGainProfile.from_json(prof.to_json())
         assert again == prof
 
+    def test_built_once_per_params(self, monkeypatch):
+        from loglegendre import divisors
+        first = floor_gain_profile(ParamSet(p=(4, 5, 3), q=(1, 2, 0), z=Fraction(-3), m=1))
+        params = ParamSet(p=(4, 5, 3), q=(1, 2, 0), z=Fraction(-3), m=1)
+        assert floor_gain_profile(params) is first
+        calls = []
+        monkeypatch.setattr(divisors, "floor_gain", lambda *a: calls.append(a))
+        guaranteed_divisor(params, 12)
+        log_guaranteed_divisor(params, 12)
+        divisor_rate(params, 128)
+        assert calls == []
+
 
 class TestGuaranteedDivisor:
     def test_frozen_regression(self, example1):
@@ -338,7 +350,7 @@ class TestDivisorRateByBreakpoint:
         for name, params in preset_catalog().items():
             profile = floor_gain_profile(params)
             calls.clear()
-            divisor_rate(params, 512, profile=profile)
+            divisor_rate(params, 512)
             ends = list(profile.breakpoints[1:]) + [Fraction(1)]
             jumps = {u for u, v, w in zip(ends, profile.values, profile.values[1:] + (0,)) if v != w}
             assert sorted(calls) == sorted(jumps), name
@@ -349,6 +361,6 @@ class TestDivisorRateByBreakpoint:
     def test_against_pairwise_formula(self, precision):
         for name, params in preset_catalog().items():
             profile = floor_gain_profile(params)
-            got = divisor_rate(params, precision, profile=profile)
+            got = divisor_rate(params, precision)
             want = self.pairwise_rate(profile, precision)
             assert abs(got - want) <= abs(want) * mp.mpf(2) ** -(precision - 8), name

@@ -1,14 +1,18 @@
+import importlib.util
 import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
 from loglegendre.corpus import oracle_corpus
-from loglegendre.errors import HypothesisError, ParamError
+from loglegendre.errors import HypothesisError, ParamError, PrecisionError
 from loglegendre.exact import DensePoly
 from loglegendre.legendre import ParamSet
+from loglegendre.measures import measure_bound, preset_catalog
 from loglegendre.spectral import (
     SpectralData,
     char_values,
@@ -109,7 +113,38 @@ class TestRoots:
                 assert min(abs(y - o) for o in other) < mp.mpf(2) ** -100
 
 
+    def test_no_convergence_is_precision_error(self, example1, monkeypatch):
+        def no_convergence(*a, **k):
+            raise mp.mp.NoConvergence("fabricated")
+
+        monkeypatch.setattr(mp, "polyroots", no_convergence)
+        with pytest.raises(PrecisionError):
+            characteristic_roots(example1, 128)
+
+
+def published_exponents() -> dict:
+    """The benchmark's table of published preset exponents and tolerances."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses resolve their module by name
+    try:
+        spec.loader.exec_module(mod)
+    finally:
+        del sys.modules[spec.name]
+    return mod.REFERENCE
+
+
 class TestCharValues:
+    @pytest.mark.parametrize("precision", [64, 128])
+    def test_presets_at_low_precision(self, precision):
+        # tiny but legitimate values must not be taken for a vanishing one
+        catalog = preset_catalog()
+        for name, (field, value, tol) in published_exponents().items():
+            report = measure_bound(catalog[name], precision)
+            assert abs(getattr(report, field) - mp.mpf(value)) < tol, (name, precision)
+
+
     def test_example1_logs(self, example1):
         sd = spectral_data(example1, 512)
         assert abs(sd.log_abs_values[0] - mp.mpf("22.149699678920")) < 1e-9
