@@ -6,6 +6,10 @@ Polynomials are dense coefficient lists in one variable, lowest degree first,
 with no trailing zero coefficients; coefficients may be ints or Fractions
 (both expose ``.numerator`` / ``.denominator``).
 
+The modular kernel at the end works on residues modulo 128-bit primes and
+lifts its results to the rationals by rational reconstruction; it uses ints
+only.
+
 Everything in this module is pure and deterministic; values are immutable
 after construction and safe to share across threads.
 """
@@ -15,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt
-from typing import Iterable, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -377,3 +381,107 @@ def count_real_roots_in(P: DensePoly, a: Rational, b: Rational) -> int:
         return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
     return variations(a) - variations(b)
+
+
+# ---------------------------------------------------------------------------
+# modular linear algebra
+# ---------------------------------------------------------------------------
+
+_PROTH_BASES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+@lru_cache(maxsize=None)
+def modular_prime(i: int) -> int:
+    """The i-th largest prime N = k 2^64 + 1 with odd k < 2^64 (i >= 0).
+
+    Proth's theorem proves each one: such an N is prime when
+    a^((N-1)/2) = -1 mod N for some a.  Candidates on which every base in
+    _PROTH_BASES gives 1 are skipped unproven, so the sequence is fixed and
+    holds only primes, each of 128 bits.
+    """
+    if i < 0:
+        raise ValueError("i must be nonnegative")
+    k = (modular_prime(i - 1) >> 64) - 2 if i else (1 << 64) - 1
+    while True:
+        N = (k << 64) + 1
+        for a in _PROTH_BASES:
+            r = pow(a, N >> 1, N)
+            if r != 1:
+                if r == N - 1:
+                    return N
+                break
+        k -= 2
+
+
+def first_dependency_mod(columns: Sequence[Sequence[int]], p: int
+                         ) -> Optional[tuple[int, list[int]]]:
+    """The first column of an integer matrix that depends on the earlier
+    columns modulo the prime p, with the combination that shows it.
+
+    Returns (k, c) with c[k] = 1, residues c[0..k-1] in [0, p) and
+    sum_i c[i] columns[i] = 0 mod p; None when all columns are independent
+    modulo p.  Columns are reduced one by one against the earlier reduced
+    columns (the pivots); the multipliers of each reduction are kept, and the
+    combination is read back from them through the triangular pivot history.
+    """
+    pivots: list[tuple[int, int, list[int]]] = []  # (row, 1/entry, column from row on)
+    history: list[list[tuple[int, int]]] = []       # multipliers per pivot
+    for k, col in enumerate(columns):
+        vec = [x % p for x in col]
+        mult = []
+        for j, (r, inv, tail) in enumerate(pivots):
+            if vec[r]:
+                f = vec[r] * inv % p
+                vec[r:] = [(a - f * b) % p for a, b in zip(vec[r:], tail)]
+                mult.append((j, f))
+        first = next((r for r, x in enumerate(vec) if x), None)
+        if first is None:
+            return k, _combination(k, mult, history, p)
+        pivots.append((first, pow(vec[first], -1, p), vec[first:]))
+        history.append(mult)
+    return None
+
+
+def _combination(k: int, mult: list, history: list, p: int) -> list[int]:
+    """Coefficients on the original columns of column k minus its reduction.
+
+    Column k equals sum f_j red_j over its multipliers, and pivot j is
+    red_j = column j - sum g_(j,i) red_i over its own; unwinding from the
+    last pivot down moves each weight onto the original column j.
+    """
+    weight = [0] * k
+    for j, f in mult:
+        weight[j] = f
+    c = [0] * k + [1]
+    for j in range(k - 1, -1, -1):
+        w = weight[j]
+        if w:
+            c[j] = -w % p
+            for i, g in history[j]:
+                weight[i] = (weight[i] - w * g) % p
+    return c
+
+
+def crt_pair(r: int, m: int, s: int, p: int) -> int:
+    """The x in [0, m p) with x = r mod m and x = s mod p; gcd(m, p) = 1."""
+    return r + m * ((s - r) * pow(m, -1, p) % p)
+
+
+def rational_reconstruction(a: int, m: int) -> Optional[tuple[int, int]]:
+    """The (num, den) with den > 0, gcd(num, den) = 1, |num|, den <= B and
+    num = a den mod m, where B = isqrt((m - 1) // 2); None when none exists.
+
+    Since 2 B^2 < m, at most one such fraction exists (Wang 1981).  The
+    extended Euclidean algorithm on (m, a) is stopped at the first remainder
+    <= B; that remainder over its cofactor is the only candidate.
+    """
+    bound = isqrt((m - 1) // 2)
+    r0, r1 = m, a % m
+    t0, t1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)

@@ -310,12 +310,38 @@ def build_record(params: ParamSet, t: int) -> LegendreRecord:
     return LegendreRecord(t=t, L=L, transforms=transforms)
 
 
-def christoffel_value(P: DensePoly, z: Fraction) -> Fraction:
-    """T(P)(z) as an exact rational, in O(deg) big-integer operations.
+def _iterate_weights(d: int, j: int, big: int) -> list[int]:
+    """big^j a_j(m) for m = 0..d, where T^j(z^k) = sum_{i<k} a_j(k-i) z^i.
 
-    Uses suffix evaluations S_j = sum_{k>=j} c_k z^(k-j), which satisfy
-    S_j = c_j + z S_{j+1}, and T(P)(z) = sum_j S_j / j.
+    a_j(m) = j! |s(m, j)| / m! (s a Stirling number of the first kind), the
+    z^m coefficient of (-log(1-z))^j; a_1(m) = 1/m.  With
+    e_r(m) = e_r(1, 1/2, ..., 1/(m-1)) the elementary symmetric functions,
+    a_j(m) = j! e_(j-1)(m) / m, and E_r(m) = big^r e_r(m) are integers for
+    big = lcm(1..d) obeying E_r(m+1) = E_r(m) + E_(r-1)(m) big/m.
     """
+    if j == 1:
+        return [0] + [big // m for m in range(1, d + 1)]
+    E = [1] + [0] * (j - 1)  # E_0(m), ..., E_(j-1)(m), starting at m = 1
+    jf = factorial(j)
+    out = [0]
+    for m in range(1, d + 1):
+        inv = big // m
+        out.append(jf * E[j - 1] * inv)
+        for r in range(j - 1, 0, -1):
+            E[r] += E[r - 1] * inv
+    return out
+
+
+def christoffel_value(P: DensePoly, z: Fraction, j: int = 1) -> Fraction:
+    """T^j(P)(z) as an exact rational, without building T(P), ..., T^(j-1)(P).
+
+    With the suffix evaluations S_m = sum_{k>=m} c_k z^(k-m), which satisfy
+    S_m = c_m + z S_(m+1), T^j(P)(z) = sum_m a_j(m) S_m for the weights of
+    :func:`_iterate_weights` (a_1(m) = 1/m); O(deg) big-integer operations
+    plus O(j deg) for the weights.
+    """
+    if j < 1:
+        raise ParamError("j must be >= 1")
     d = len(P.coeffs) - 1
     if d <= 0:
         return Fraction(0)
@@ -326,12 +352,13 @@ def christoffel_value(P: DensePoly, z: Fraction) -> Fraction:
     for i in range(1, d + 1):
         bp[i] = bp[i - 1] * b
     big = lcm_upto(d)
+    weight = _iterate_weights(d, j, big)
     u = nums[d]
-    total = u * (big // d) * bp[d - 1]
-    for j in range(d - 1, 0, -1):
-        u = nums[j] * bp[d - j] + a * u
-        total += u * (big // j) * bp[j - 1]
-    return Fraction(total, den * big * bp[d - 1])
+    total = u * weight[d] * bp[d - 1]
+    for m in range(d - 1, 0, -1):
+        u = nums[m] * bp[d - m] + a * u
+        total += u * weight[m] * bp[m - 1]
+    return Fraction(total, den * big ** j * bp[d - 1])
 
 
 def eval_at_rational(P: DensePoly, z: Fraction) -> Fraction:
@@ -371,11 +398,7 @@ def form_terms(params: ParamSet, t: int, j: int,
         raise ParamError("need 1 <= j <= m")
     if L is None:
         L = legendre_poly(params, t)
-    z = params.z
-    poly = L
-    for _ in range(j - 1):
-        poly = christoffel_transform(poly)
-    return eval_at_rational(L, z), christoffel_value(poly, z)
+    return eval_at_rational(L, params.z), christoffel_value(L, params.z, j)
 
 
 def legendre_function_value(params: ParamSet, t: int, j: int, precision: int,

@@ -6,9 +6,14 @@ whose limiting characteristic roots are the values
     v_h = prod_j (y_h - q_j)^{q_j} (y_h + p_j)^{p_j} / (p_j + q_j)^{p_j+q_j},
 
 where the y_h solve zeta prod(y + p_j) = (zeta - 1) prod(y - q_j).  Growth
-rates of solution sequences are read off with a windowed-max slope fit, and
-for small instances an annihilating coefficient vector is found by exact
-linear algebra over the rationals, witnessing the recurrence directly.
+rates of solution sequences are read off with a windowed-max slope fit.
+
+For small instances an annihilating coefficient vector witnesses the
+recurrence directly.  It is found modulo a fixed sequence of 128-bit primes
+(exact.first_dependency_mod), lifted to the rationals by the Chinese
+remainder theorem and rational reconstruction, and returned only once it
+annihilates the polynomials exactly; a prime that reports the dependency too
+early is passed over, and running out of primes raises InternalCheckError.
 """
 
 from __future__ import annotations
@@ -17,13 +22,14 @@ import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Optional, Sequence
 
 import mpmath as mp
 
 from .errors import HypothesisError, InternalCheckError, ParamError, PrecisionError
-from .exact import DensePoly
+from .exact import (DensePoly, crt_pair, first_dependency_mod, modular_prime,
+                    rational_reconstruction)
 from .legendre import ParamSet, _legendre_scaled
 
 
@@ -47,7 +53,7 @@ class SpectralData:
     """Roots y_h and values v_h, ordered by descending |v| (ties by argument)."""
 
     roots: tuple          # mpc roots y_h
-    values: tuple         # mpc values v_h (empty until char_values fills them)
+    values: tuple         # mpc values v_h
     log_abs_values: tuple  # mpf log|v_h|
     log_v_max: Optional[mp.mpf]      # log V = log max|v_h|
     log_v_capped: Optional[mp.mpf]   # log W = log max{|v_h| : |v_h| <= threshold}
@@ -82,12 +88,14 @@ def _char_value_at(params: ParamSet, y, work: int):
 
 
 def characteristic_roots(params: ParamSet, precision: int = 512) -> SpectralData:
-    """All n roots, ordered by descending |v_h| (ties by argument).
+    """All n roots and their values v_h, ordered by descending |v_h| (ties by
+    argument); the values are those :func:`char_values` reads.
 
     mpmath's Durand-Kerner iteration (`polyroots`) refines them together at
     precision + 64 bits and stops once every root's last step is below
     2^-(precision + 23); PrecisionError if that takes more than 200 steps.
-    The roots come back as mpc values rounded to precision + 24 bits.
+    The roots come back as mpc values rounded to precision + 24 bits, and
+    the values are computed at precision + 64 bits.
     """
     coeffs = list(reversed(characteristic_polynomial(params).coeffs))
     try:
@@ -98,18 +106,15 @@ def characteristic_roots(params: ParamSet, precision: int = 512) -> SpectralData
     work = precision + 64
     with mp.workprec(work):
         # deterministic ordering by the companion values
-        decorated = []
-        for y in roots:
-            v = _char_value_at(params, y, work)
-            decorated.append((y, v))
-        decorated.sort(key=lambda yv: (-abs(yv[1]), mp.arg(yv[1])))
-        roots = tuple(+y for y, _ in decorated)
+        decorated = sorted(((y, _char_value_at(params, y, work)) for y in roots),
+                           key=lambda yv: (-abs(yv[1]), mp.arg(yv[1])))
+        roots = tuple(y for y, _ in decorated)
         sep = min((abs(a - b) for i, a in enumerate(roots)
                    for b in roots[i + 1:]), default=mp.mpf("inf"))
         if sep < mp.mpf(2) ** (-(precision // 4)):
             warnings.warn("nearly multiple characteristic roots; results may lose accuracy")
-    return SpectralData(roots=roots, values=(), log_abs_values=(),
-                        log_v_max=None, log_v_capped=None,
+    return SpectralData(roots=roots, values=tuple(v for _, v in decorated),
+                        log_abs_values=(), log_v_max=None, log_v_capped=None,
                         log_threshold=None, precision=precision)
 
 
@@ -128,22 +133,19 @@ def _log_threshold(params: ParamSet, work: int) -> mp.mpf:
 
 
 def char_values(params: ParamSet, spectral: SpectralData) -> SpectralData:
-    """Fill in v_h, V, W and the threshold; raises if the setup degenerates."""
+    """Fill in V, W and the threshold from the values of
+    :func:`characteristic_roots`; raises if the setup degenerates."""
     precision = spectral.precision
     work = precision + 64
+    values = spectral.values
+    # A true root cannot make v vanish: at y = q_j the characteristic
+    # polynomial is zeta prod_l (q_j + p_l) != 0, and at y = -p_j it is
+    # -(zeta - 1) prod_l (-p_j - q_l) != 0, since z is outside [0, 1].
+    # Legitimate values can be exponentially small, so only an exact zero
+    # (a root not from this polynomial) is rejected.
+    if any(v == 0 for v in values):
+        raise HypothesisError("a characteristic value vanishes (root collides with some q_j)")
     with mp.workprec(work):
-        values = []
-        for y in spectral.roots:
-            v = _char_value_at(params, y, work)
-            # A true root cannot make v vanish: at y = q_j the characteristic
-            # polynomial is zeta prod_l (q_j + p_l) != 0, and at y = -p_j it
-            # is -(zeta - 1) prod_l (-p_j - q_l) != 0, since z is outside
-            # [0, 1].  Legitimate values can be exponentially small, so only
-            # an exact zero (a root not from this polynomial) is rejected.
-            if v == 0:
-                raise HypothesisError(
-                    "a characteristic value vanishes (root collides with some q_j)")
-            values.append(v)
         logs = [mp.log(abs(v)) for v in values]
         log_thr = _log_threshold(params, work)
         slack = mp.mpf(2) ** (-(precision // 4))
@@ -158,7 +160,7 @@ def char_values(params: ParamSet, spectral: SpectralData) -> SpectralData:
             raise HypothesisError("no characteristic value below the size threshold")
         return SpectralData(
             roots=spectral.roots,
-            values=tuple(+v for v in values),
+            values=values,
             log_abs_values=tuple(+lg for lg in logs),
             log_v_max=+max(logs),
             log_v_capped=+max(below),
@@ -215,11 +217,18 @@ def windowed_growth_rate(values: Sequence, window: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-scale recurrence witness by exact elimination
+# per-scale recurrence witness by modular elimination
 # ---------------------------------------------------------------------------
 
 WITNESS_MAX_COLUMNS = 4000  # larger instances are refused, not eliminated
 WITNESS_MAX_ROWS = 2000
+WITNESS_PRIME_COUNT = 16    # 2048 bits of modulus: heights up to about 1023 bits
+
+
+def _witness_primes():
+    """The fixed sequence of primes the witness search runs modulo."""
+    return (modular_prime(i) for i in range(WITNESS_PRIME_COUNT))
+
 
 @dataclass(frozen=True)
 class RecurrenceWitness:
@@ -232,14 +241,25 @@ class RecurrenceWitness:
         return all(c.is_zero() for c in self.coefficients)
 
 
-def recurrence_witness(params: ParamSet, t: int) -> Optional[RecurrenceWitness]:
+def recurrence_witness(params: ParamSet, t: int) -> RecurrenceWitness:
     """Find A_0..A_n, deg A_l <= L + M(n-l), annihilating the scales t..t+n.
 
-    L is the smallest integer above M n (n-1)/2 - n.  Columns z^i * P_{t+l}
-    are reduced incrementally over exact rationals; the first column that
-    reduces to zero yields the witness, which is verified exactly before
-    being returned.  Returns None when no dependency exists in the allowed
-    degree window.
+    L is the smallest integer above M n (n-1)/2 - n.  The columns
+    z^i * P_{t+l}, ordered by l and then i, form an integer matrix; the
+    witness is the combination with coefficient 1 on its first column that
+    depends on the earlier ones, which are independent, so the witness is
+    unique.
+
+    The search runs modulo each prime of a fixed sequence of 128-bit primes
+    (WITNESS_PRIME_COUNT of them, see exact.modular_prime) in turn.  Columns
+    independent modulo a prime are independent over Q, so an unlucky prime
+    can only report a dependency too early: the largest column index seen so
+    far is kept, and only the residues found at that index are combined by
+    the Chinese remainder theorem.  After each prime the combination is
+    lifted to Q by rational reconstruction and accepted only if it
+    annihilates the columns exactly; otherwise the next prime is taken.
+    InternalCheckError if the columns are independent modulo a prime (then
+    no witness exists in the degree window) or if the primes run out.
     """
     if t < 0:
         raise ParamError("t must be >= 0")
@@ -247,41 +267,39 @@ def recurrence_witness(params: ParamSet, t: int) -> Optional[RecurrenceWitness]:
     M = params.total_degree
     Lbound = M * n * (n - 1) // 2 - n + 1
     rows = Lbound + M * (t + n) + 1
-    total_cols = sum(Lbound + M * (n - l) + 1 for l in range(n + 1))
-    if total_cols > WITNESS_MAX_COLUMNS or rows > WITNESS_MAX_ROWS:
+    keys = [(l, i) for l in range(n + 1) for i in range(Lbound + M * (n - l) + 1)]
+    if len(keys) > WITNESS_MAX_COLUMNS or rows > WITNESS_MAX_ROWS:
         raise ParamError("instance too large for exact elimination")
-    scaled = []
-    for l in range(n + 1):
-        s = t + l
-        scaled.append(_legendre_scaled(params.pairs(), s) if s >= 1 else [1])
+    scaled = [_legendre_scaled(params.pairs(), t + l) if t + l >= 1 else [1]
+              for l in range(n + 1)]
+    columns = []
+    for l, i in keys:
+        col = [0] * rows
+        col[i:i + len(scaled[l])] = scaled[l]
+        columns.append(col)
 
-    reduced: list[list[Fraction]] = []
-    combos: list[dict] = []
-    pivots: list[tuple[int, int]] = []
-    for l in range(n + 1):
-        for i in range(Lbound + M * (n - l) + 1):
-            vec = [Fraction(0)] * rows
-            for k, c in enumerate(scaled[l]):
-                vec[i + k] = Fraction(c)
-            combo = {(l, i): Fraction(1)}
-            for pr, idx in pivots:
-                if vec[pr]:
-                    f = vec[pr] / reduced[idx][pr]
-                    col = reduced[idx]
-                    for r in range(rows):
-                        if col[r]:
-                            vec[r] -= f * col[r]
-                    for key, val in combos[idx].items():
-                        combo[key] = combo.get(key, Fraction(0)) - f * val
-            first = next((r for r in range(rows) if vec[r]), None)
-            if first is None:
-                witness = _assemble_witness(params, t, combo, n, Lbound, M)
-                _verify_witness(scaled, witness, rows)
-                return witness
-            reduced.append(vec)
-            combos.append(combo)
-            pivots.append((first, len(reduced) - 1))
-    return None
+    index, residues, modulus = -1, [], 1
+    for p in _witness_primes():
+        found = first_dependency_mod(columns, p)
+        if found is None:
+            raise InternalCheckError(
+                f"no recurrence witness at t={t}: the columns are independent mod {p}")
+        k, combo = found
+        if k < index:
+            continue  # unlucky prime
+        if k > index:
+            index, residues, modulus = k, combo, p
+        else:
+            residues = [crt_pair(r, modulus, s, p) for r, s in zip(residues, combo)]
+            modulus *= p
+        lifted = [rational_reconstruction(r, modulus) for r in residues]
+        if None in lifted:
+            continue
+        witness = _assemble_witness(
+            params, t, {key: Fraction(*nd) for key, nd in zip(keys, lifted)}, n, Lbound, M)
+        if _verify_witness(scaled, witness, rows):
+            return witness
+    raise InternalCheckError(f"no verified recurrence witness at t={t} after the prime sequence")
 
 
 def _assemble_witness(params, t, combo, n, Lbound, M) -> RecurrenceWitness:
@@ -295,19 +313,20 @@ def _assemble_witness(params, t, combo, n, Lbound, M) -> RecurrenceWitness:
     return RecurrenceWitness(t=t, coefficients=tuple(polys))
 
 
-def _verify_witness(scaled: list[list[int]], witness: RecurrenceWitness, rows: int):
-    acc = [Fraction(0)] * rows
-    nonzero = False
+def _verify_witness(scaled: list[list[int]], witness: RecurrenceWitness,
+                    rows: int) -> bool:
+    """Whether the nonzero witness gives sum_l A_l * P_{t+l} = 0 exactly,
+    checked on the integer multiple that clears the denominators."""
+    if witness.is_trivial():
+        return False
+    den = 1
+    for poly in witness.coefficients:
+        den = lcm(den, poly.content_denominator())
+    acc = [0] * rows
     for l, poly in enumerate(witness.coefficients):
-        if poly.is_zero():
-            continue
-        nonzero = True
         for i, a in enumerate(poly.coeffs):
             if a:
+                a = a.numerator * (den // a.denominator)
                 for k, c in enumerate(scaled[l]):
-                    if c:
-                        acc[i + k] += a * c
-    if not nonzero:
-        raise InternalCheckError("assembled witness is the zero vector")
-    if any(acc):
-        raise InternalCheckError("witness does not annihilate exactly")
+                    acc[i + k] += a * c
+    return not any(acc)

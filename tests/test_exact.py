@@ -8,10 +8,14 @@ from loglegendre.exact import (
     DensePoly,
     binomial_integer,
     count_real_roots_in,
+    crt_pair,
+    first_dependency_mod,
     lcm_upto,
+    modular_prime,
     normalized_derivative,
     prime_valuation,
     primes_in_range,
+    rational_reconstruction,
 )
 
 
@@ -215,3 +219,190 @@ class TestRootCounting:
     def test_multiple_roots_counted_once(self):
         p = poly(1, -2, 1) * poly(1, -2, 1)  # (1-z)^4
         assert count_real_roots_in(p, Fraction(0), Fraction(2)) == 1
+
+
+def fraction_first_dependency(columns):
+    """Over Q: the first column in the span of the earlier ones and the
+    combination with coefficient 1 on it, by Fraction elimination; None when
+    the columns are independent."""
+    basis = []  # (pivot row, reduced column, combination)
+    for k, col in enumerate(columns):
+        vec = [Fraction(x) for x in col]
+        combo = {k: Fraction(1)}
+        for r, red, rc in basis:
+            if vec[r]:
+                f = vec[r] / red[r]
+                vec = [a - f * b for a, b in zip(vec, red)]
+                for i, c in rc.items():
+                    combo[i] = combo.get(i, Fraction(0)) - f * c
+        first = next((r for r, x in enumerate(vec) if x), None)
+        if first is None:
+            return k, [combo.get(i, Fraction(0)) for i in range(k + 1)]
+        basis.append((first, vec, combo))
+    return None
+
+
+def random_columns(rng, rows, cols, rank, zero_at=None):
+    """Integer columns of the given rank: the first `rank` random, the rest
+    small integer combinations of earlier ones, shuffled after the first."""
+    out = [[rng.randint(-50, 50) for _ in range(rows)] for _ in range(rank)]
+    while len(out) < cols:
+        picks = rng.sample(range(len(out)), min(3, len(out)))
+        weights = [rng.randint(-4, 4) for _ in picks]
+        out.append([sum(w * out[i][r] for w, i in zip(weights, picks)) for r in range(rows)])
+    head, tail = out[:1], out[1:]
+    rng.shuffle(tail)
+    out = head + tail
+    if zero_at is not None:
+        out.insert(zero_at, [0] * rows)
+    return out
+
+
+class TestFirstDependencyMod:
+    P = modular_prime(0)
+
+    def check_against_oracle(self, columns):
+        want = fraction_first_dependency(columns)
+        got = first_dependency_mod(columns, self.P)
+        if want is None:
+            assert got is None
+            return
+        k, combo = want
+        assert got is not None and got[0] == k
+        assert got[1] == [c.numerator * pow(c.denominator, -1, self.P) % self.P for c in combo]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_full_rank(self, seed):
+        rng = random.Random(100 + seed)
+        rows = rng.randint(3, 12)
+        self.check_against_oracle(random_columns(rng, rows, rng.randint(1, rows), rank=rows))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rank_deficient(self, seed):
+        rng = random.Random(200 + seed)
+        rows = rng.randint(4, 14)
+        rank = rng.randint(1, rows - 1)
+        columns = random_columns(rng, rows, rank + rng.randint(1, 4), rank)
+        assert fraction_first_dependency(columns) is not None
+        self.check_against_oracle(columns)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_zero_column(self, seed):
+        rng = random.Random(300 + seed)
+        rows = rng.randint(3, 10)
+        at = rng.randint(0, rows - 1)
+        columns = random_columns(rng, rows, rows, rank=rows, zero_at=at)
+        k, combo = fraction_first_dependency(columns)
+        assert k == at and combo == [0] * at + [1]
+        self.check_against_oracle(columns)
+
+    def test_small_primes_report_no_later_index(self):
+        # an unlucky prime reports a dependency early, never late, and its
+        # combination holds modulo that prime
+        rng = random.Random(7)
+        for _ in range(40):
+            rows = rng.randint(3, 8)
+            columns = random_columns(rng, rows, rows + 1, rank=rows - 1)
+            k_true, _ = fraction_first_dependency(columns)
+            for p in (2, 3, 5, 7):
+                k, c = first_dependency_mod(columns, p)
+                assert k <= k_true and c[k] == 1
+                for r in range(rows):
+                    assert sum(c[i] * columns[i][r] for i in range(k + 1)) % p == 0
+
+    def test_no_columns(self):
+        assert first_dependency_mod([], self.P) is None
+
+
+def is_probable_prime(n, bases=(2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
+    """Miller-Rabin over fixed bases."""
+    if n < 2:
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        if a % n == 0:
+            continue
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class TestModularPrimes:
+    def test_form_order_and_primality(self):
+        primes = [modular_prime(i) for i in range(4)]
+        assert primes == sorted(primes, reverse=True)
+        for p in primes:
+            k, rest = divmod(p - 1, 1 << 64)
+            assert rest == 0 and k % 2 == 1 and p.bit_length() == 128
+            assert is_probable_prime(p)
+
+    def test_no_prime_of_the_form_skipped(self):
+        top = [modular_prime(i) for i in range(3)]
+        k = (1 << 64) - 1
+        for p in top:
+            while (k << 64) + 1 > p:
+                assert not is_probable_prime((k << 64) + 1)
+                k -= 2
+            k -= 2
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError):
+            modular_prime(-1)
+
+
+class TestRationalReconstruction:
+    @pytest.mark.parametrize("m", [101, 2**31 - 1, 10**6, modular_prime(0),
+                                   modular_prime(0) * modular_prime(1)])
+    def test_round_trip(self, m):
+        rng = random.Random(m % 1000)
+        bound = math.isqrt((m - 1) // 2)
+        for _ in range(300):
+            num = rng.randint(-bound, bound)
+            den = rng.randint(1, bound)
+            g = math.gcd(num, den)
+            num, den = num // g, den // g
+            if math.gcd(den, m) != 1:
+                continue
+            a = num * pow(den, -1, m) % m
+            assert rational_reconstruction(a, m) == (num, den)
+
+    @pytest.mark.parametrize("m", [2, 3, 10, 97, 101, 360, 1009])
+    def test_exhaustive_small_moduli(self, m):
+        # every residue: the fraction within the bound if one exists, else None
+        bound = math.isqrt((m - 1) // 2)
+        for a in range(m):
+            want = None
+            for den in range(1, bound + 1):
+                if math.gcd(den, m) != 1:
+                    continue
+                num = a * den % m
+                num = num - m if num > m // 2 else num
+                if abs(num) <= bound and math.gcd(num, den) == 1:
+                    want = (num, den)
+                    break
+            assert rational_reconstruction(a, m) == want, (a, m)
+
+    def test_balance_is_needed(self):
+        # 49 = 49/1 = 1/33 mod 101, and both have 2|p|q < 101: no function can
+        # round-trip both, so the bound is |p|, q <= isqrt(50) = 7
+        assert 33 * 49 % 101 == 1
+        assert rational_reconstruction(49, 101) == (-3, 2)
+
+
+class TestCrtPair:
+    def test_against_search(self):
+        rng = random.Random(8)
+        for _ in range(50):
+            m, p = rng.choice([(7, 11), (2 * 9, 5), (13, 101)])
+            r, s = rng.randrange(m), rng.randrange(p)
+            x = crt_pair(r, m, s, p)
+            assert 0 <= x < m * p and x % m == r and x % p == s

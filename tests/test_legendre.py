@@ -198,6 +198,28 @@ class TestChristoffel:
             z = Fraction(-rng.randint(1, 7), rng.randint(1, 7))
             assert christoffel_value(P, z) == christoffel_transform(P).evaluate(z)
 
+    @pytest.mark.parametrize("j", [2, 3, 4])
+    def test_iterate_value_matches_iterated_transform(self, j):
+        rng = random.Random(20 + j)
+        for _ in range(20):
+            P = poly(*[Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                       for _ in range(rng.randint(1, 14))])
+            z = Fraction(-rng.randint(1, 7), rng.randint(1, 7))
+            Q = P
+            for _ in range(j):
+                Q = christoffel_transform(Q)
+            assert christoffel_value(P, z, j) == Q.evaluate(z)
+
+    def test_iterate_value_on_legendre(self, example2):
+        for t in (1, 3, 6):
+            L = legendre_poly(example2, t)
+            T2 = christoffel_transform(christoffel_transform(L))
+            assert christoffel_value(L, example2.z, 2) == eval_at_rational(T2, example2.z)
+
+    def test_iterate_order_validated(self):
+        with pytest.raises(ParamError):
+            christoffel_value(poly(1, 2, 3), Fraction(-1), 0)
+
     def test_eval_at_rational(self):
         rng = random.Random(11)
         for _ in range(20):

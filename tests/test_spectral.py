@@ -1,20 +1,25 @@
+import hashlib
 import importlib.util
 import json
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import mpmath as mp
 import pytest
 
 from loglegendre.corpus import oracle_corpus
-from loglegendre.errors import HypothesisError, ParamError, PrecisionError
+from loglegendre import spectral
+from loglegendre.errors import HypothesisError, InternalCheckError, ParamError, PrecisionError
 from loglegendre.exact import DensePoly
-from loglegendre.legendre import ParamSet
+from loglegendre.legendre import ParamSet, _legendre_scaled
 from loglegendre.measures import measure_bound, preset_catalog
 from loglegendre.spectral import (
+    RecurrenceWitness,
     SpectralData,
+    _char_value_at,
     char_values,
     characteristic_polynomial,
     characteristic_roots,
@@ -161,21 +166,47 @@ class TestCharValues:
         assert abs(sd.log_abs_values[1] - mp.mpf("-9.276132199490")) < 1e-9
         assert abs(sd.log_abs_values[3] - mp.mpf("-18.115257059384")) < 1e-9
 
-    def test_degenerate_root_rejected(self, example1):
-        fake = SpectralData(roots=(mp.mpc(2, 0),), values=(), log_abs_values=(),
+    @staticmethod
+    def fake(params, roots, precision=128):
+        values = tuple(_char_value_at(params, y, precision + 64) for y in roots)
+        return SpectralData(roots=roots, values=values, log_abs_values=(),
                             log_v_max=None, log_v_capped=None,
-                            log_threshold=None, precision=128)
+                            log_threshold=None, precision=precision)
+
+    def test_degenerate_root_rejected(self, example1):
         # y = q_2 = 2 makes (y - q_2)^(q_2) vanish
-        with pytest.raises(HypothesisError):
-            char_values(example1, fake)
+        with pytest.raises(HypothesisError, match="vanishes"):
+            char_values(example1, self.fake(example1, (mp.mpc(2, 0),)))
 
     def test_no_value_below_threshold_rejected(self, example1):
-        fake = SpectralData(roots=(mp.mpc(10**9, 0), mp.mpc(-10**9, 1)),
-                            values=(), log_abs_values=(),
-                            log_v_max=None, log_v_capped=None,
-                            log_threshold=None, precision=128)
-        with pytest.raises(HypothesisError):
+        fake = self.fake(example1, (mp.mpc(10**9, 0), mp.mpc(-10**9, 1)))
+        with pytest.raises(HypothesisError, match="below the size threshold"):
             char_values(example1, fake)
+
+    def test_each_value_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(params, y, work):
+            calls.append(y)
+            return _char_value_at(params, y, work)
+
+        monkeypatch.setattr(spectral, "_char_value_at", counted)
+        spectral_data(preset_catalog()["log2-m2"], 512)
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("precision", [64, 512, 2048])
+    def test_equal_modulus_pairs_by_argument(self, precision):
+        # a conjugate pair has one |v| up to rounding, so the order promised
+        # for ties is the argument's, not the rounding noise's
+        pairs = 0
+        for name, params in preset_catalog().items():
+            values = characteristic_roots(params, precision).values
+            with mp.workprec(precision + 64):
+                for a, b in zip(values, values[1:]):
+                    if abs(abs(a) - abs(b)) <= abs(a) * mp.mpf(2) ** (-precision // 2):
+                        pairs += 1
+                        assert mp.arg(a) < mp.arg(b), (name, precision)
+        assert pairs > 0
 
     def test_json_serialization(self, example1):
         sd = spectral_data(example1, 192)
@@ -229,3 +260,93 @@ class TestRecurrenceWitness:
     def test_size_guard(self, example1):
         with pytest.raises(ParamError):
             recurrence_witness(example1, 500)
+
+
+@lru_cache(maxsize=None)
+def fraction_witness(params, t):
+    """The elimination recurrence_witness used before the modular search:
+    columns z^i * P_(t+l) reduced one by one over Fraction; the first that
+    reduces to zero gives the combination, with coefficient 1 on itself."""
+    n, M = params.n, params.total_degree
+    Lbound = M * n * (n - 1) // 2 - n + 1
+    rows = Lbound + M * (t + n) + 1
+    scaled = [_legendre_scaled(params.pairs(), t + l) if t + l >= 1 else [1]
+              for l in range(n + 1)]
+    reduced, combos, pivots = [], [], []
+    for l in range(n + 1):
+        for i in range(Lbound + M * (n - l) + 1):
+            vec = [Fraction(0)] * rows
+            for k, c in enumerate(scaled[l]):
+                vec[i + k] = Fraction(c)
+            combo = {(l, i): Fraction(1)}
+            for pr, idx in pivots:
+                if vec[pr]:
+                    f = vec[pr] / reduced[idx][pr]
+                    col = reduced[idx]
+                    for r in range(rows):
+                        if col[r]:
+                            vec[r] -= f * col[r]
+                    for key, val in combos[idx].items():
+                        combo[key] = combo.get(key, Fraction(0)) - f * val
+            first = next((r for r in range(rows) if vec[r]), None)
+            if first is None:
+                polys = []
+                for ll in range(n + 1):
+                    cs = [Fraction(0)] * (Lbound + M * (n - ll) + 1)
+                    for (kl, ki), val in combo.items():
+                        if kl == ll:
+                            cs[ki] = val
+                    polys.append(DensePoly(cs))
+                return RecurrenceWitness(t=t, coefficients=tuple(polys))
+            reduced.append(vec)
+            combos.append(combo)
+            pivots.append((first, len(reduced) - 1))
+    return None
+
+
+def witness_digest(w):
+    return hashlib.sha256("\n--\n".join(c.render() for c in w.coefficients).encode()).hexdigest()
+
+
+SMALL = ParamSet(p=(1, 1), q=(0, 0), z=Fraction(-1), m=1)
+
+
+class TestModularWitness:
+    @pytest.mark.parametrize("t", range(0, 11))
+    def test_small_equals_fraction_route(self, t):
+        assert recurrence_witness(SMALL, t) == fraction_witness(SMALL, t)
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_example1_equals_fraction_route(self, example1, t):
+        assert recurrence_witness(example1, t) == fraction_witness(example1, t)
+
+    def test_example1_t3_frozen_digest(self, example1):
+        # SHA-256 of the Fraction route's witness (6.5 s to recompute)
+        assert witness_digest(recurrence_witness(example1, 3)) == (
+            "288b8c2a4004b1828b4bd30887fd383cfdc939ec4bb344851c28ae90da683caf")
+
+    @pytest.mark.parametrize("t, want", [(1, [0, 0, 0, 89, 89, 93, 97]),
+                                         (2, [0, 0, 0, 0, 0, 89, 105])])
+    def test_unlucky_primes_are_passed_over(self, example1, monkeypatch, t, want):
+        real = list(spectral._witness_primes())
+        monkeypatch.setattr(spectral, "_witness_primes", lambda: [2, 3, 5, 7, 11, 13] + real)
+        seen = []
+        kernel = spectral.first_dependency_mod
+
+        def recorded(columns, p):
+            found = kernel(columns, p)
+            seen.append(found[0])
+            return found
+
+        monkeypatch.setattr(spectral, "first_dependency_mod", recorded)
+        assert recurrence_witness(example1, t) == fraction_witness(example1, t)
+        assert seen == want
+
+    def test_only_unlucky_primes_raise(self, example1, monkeypatch):
+        monkeypatch.setattr(spectral, "_witness_primes", lambda: [2, 3, 5, 7, 11, 13])
+        with pytest.raises(InternalCheckError):
+            recurrence_witness(example1, 1)
+
+    def test_coefficients_are_fractions(self, example1):
+        w = recurrence_witness(example1, 1)
+        assert all(type(c) is Fraction for poly in w.coefficients for c in poly.coeffs)
