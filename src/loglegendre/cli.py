@@ -26,7 +26,7 @@ from .divisors import (
     strong_integrality_check,
 )
 from .errors import HypothesisError, InternalCheckError, ParamError, PrecisionError
-from .exact import DensePoly
+from .exact import DensePoly, decimal_digits
 from .legendre import (
     ParamSet,
     build_record,
@@ -301,7 +301,7 @@ def cmd_delta(args) -> int:
     limit = divisor_rate(params, args.precision)
     payload = {
         "t": t,
-        "divisor": str(delta_t),
+        "divisor": decimal_digits(delta_t),
         "log_divisor_over_t": log_dt / t,
         "rate_limit": mp.nstr(limit, max(6, int(args.precision * 0.3010))),
         "mu_profile": json.loads(floor_gain_profile(params).to_json()),

@@ -16,6 +16,7 @@ after construction and safe to share across threads.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt
@@ -29,6 +30,16 @@ NEG_INF = float("-inf")
 # ---------------------------------------------------------------------------
 # integers, primes, lcm
 # ---------------------------------------------------------------------------
+
+def decimal_digits(n: int) -> str:
+    """str(n) for an int of any size: its decimal digits, '-' first if n < 0.
+
+    The conversion goes through ``decimal.Decimal``, which is exact and not
+    subject to CPython's int-to-str digit limit (4300 digits by default),
+    and it leaves the process-wide limit alone.
+    """
+    return str(Decimal(n))
+
 
 def binomial_integer(nn: int, m: int) -> int:
     """Generalized binomial C(nn, m) = nn(nn-1)...(nn-m+1)/m! for any integer nn.
@@ -265,7 +276,8 @@ class DensePoly:
 
     def render(self) -> str:
         """Canonical text form: one 'num/den' per line, lowest degree first."""
-        return "\n".join(f"{c.numerator}/{c.denominator}" for c in self.coeffs)
+        return "\n".join(f"{decimal_digits(c.numerator)}/{decimal_digits(c.denominator)}"
+                         for c in self.coeffs)
 
     @staticmethod
     def parse(text: str) -> "DensePoly":

@@ -164,6 +164,18 @@ class TestDeltaCommand:
         assert payload["divisor"] == "18579448222667298067513"
         assert payload["rate_limit"].startswith("4.995102335817")
 
+    def test_divisor_beyond_int_str_limit(self, capsys):
+        # Delta_3000 has 6389 digits, more than str(int) converts by default
+        from decimal import Decimal
+
+        from loglegendre.divisors import guaranteed_divisor
+        from loglegendre.measures import preset_catalog
+        code, out, _ = run(capsys, "delta", "--preset", "log2-m1", "--t", "3000")
+        assert code == 0
+        digits = json.loads(out)["divisor"]
+        assert len(digits) == 6389 and digits.isdigit()
+        assert int(Decimal(digits)) == guaranteed_divisor(preset_catalog()["log2-m1"], 3000)
+
     def test_zero_scale_is_usage_error(self, capsys):
         code, out, err = run(capsys, "delta", "--preset", "log2-m1", "--t", "0")
         assert code == 2

@@ -9,6 +9,7 @@ from loglegendre.exact import (
     binomial_integer,
     count_real_roots_in,
     crt_pair,
+    decimal_digits,
     first_dependency_mod,
     lcm_upto,
     modular_prime,
@@ -177,6 +178,12 @@ class TestDensePoly:
             p = DensePoly(cs)
             assert DensePoly.parse(p.render()) == p
 
+    def test_render_beyond_int_str_limit(self):
+        # 5001 digits: str() of the int raises under CPython's default limit
+        assert DensePoly([10**5000 + 1, -3]).render() == "1" + "0" * 4999 + "1/1\n-3/1"
+        half = Fraction(-1, 2 * 10**5000)
+        assert DensePoly([half]).render() == "-1/2" + "0" * 5000
+
     def test_parse_rejects_trailing_zero(self):
         with pytest.raises(ValueError):
             DensePoly.parse("1/1\n0/1")
@@ -206,6 +213,18 @@ class TestDensePoly:
             q = p.compose_one_minus()
             x = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
             assert q.evaluate(x) == p.evaluate(1 - x)
+
+
+class TestDecimalDigits:
+    def test_equals_str(self):
+        rng = random.Random(7)
+        for n in [0, 1, -1, 9, 10, -10, 10**18, -(10**19) + 1] + \
+                 [rng.randint(-10**400, 10**400) for _ in range(50)]:
+            assert decimal_digits(n) == str(n)
+
+    def test_beyond_int_str_limit(self):
+        assert decimal_digits(-(10**9000)) == "-1" + "0" * 9000
+        assert decimal_digits(7 * 10**6000 + 3) == "7" + "0" * 5999 + "3"
 
 
 class TestRootCounting:

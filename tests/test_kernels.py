@@ -1,25 +1,31 @@
 """The integer kernels of the exact path against independent references.
 
 - multiplication by (1-z)^k (difference passes) against DensePoly products;
-- the transform T (packed Toeplitz product) against a Fraction evaluation of
-  T(z^k) = sum_{i<k} z^i/(k-i), on both sides of a block boundary;
+- the transform T (tiled Kronecker product in decimal) against a Fraction
+  evaluation of T(z^k) = sum_{i<k} z^i/(k-i) and the direct Toeplitz sum,
+  on both sides of a tile boundary set by the digit budget, with slots
+  wider than CPython's int-str digit limit, and in threads whose decimal
+  context would round;
 - frozen SHA-256 digests of large constructions and transforms;
 - the series oracle (Newton differences at negative k) against the
   interpolation route q_to_p(series_k_polynomial(...)).
 """
 
+import decimal
 import hashlib
 import random
+import threading
 from fractions import Fraction
 
 import pytest
 
 from loglegendre.corpus import oracle_corpus
-from loglegendre.exact import DensePoly
+from loglegendre import legendre
+from loglegendre.exact import DensePoly, lcm_upto
 from loglegendre.legendre import (
-    TRANSFORM_BLOCK,
     ParamSet,
     _mul_one_minus_z_pow,
+    _slot_digits,
     _toeplitz_tail,
     christoffel_transform,
     legendre_poly,
@@ -71,11 +77,38 @@ class TestTransformKernel:
             P = DensePoly([rng.randint(-9, 9) for _ in range(d)] + [rng.randint(1, 9)])
             assert christoffel_transform(P) == transform_by_definition(P)
 
-    @pytest.mark.parametrize("d", [TRANSFORM_BLOCK - 1, TRANSFORM_BLOCK,
-                                   TRANSFORM_BLOCK + 1, TRANSFORM_BLOCK + 2])
-    def test_block_boundary(self, d):
-        rng = random.Random(d)
-        P = DensePoly([rng.randint(-10**6, 10**6) for _ in range(d)] + [1])
+    @pytest.mark.parametrize("d", [255, 256, 257, 258, 400])
+    def test_block_boundary(self, d, monkeypatch):
+        """A digit budget whose last one-tile degree is 256 (2 d w digits);
+        larger d are cut into tiles of the width it allows, and no product
+        exceeds it."""
+        def instance(n):
+            rng = random.Random(n)
+            P = DensePoly([rng.randint(-10**6, 10**6) for _ in range(n)] + [-10**6])
+            inv = [0] + [lcm_upto(n) // j for j in range(1, n + 1)]
+            return P, _slot_digits(2 * 10**6 * sum(inv))
+
+        sizes = []
+
+        class Recording(decimal.Context):
+            def multiply(self, a, b):
+                sizes.append(len(a.as_tuple().digits) + len(b.as_tuple().digits))
+                return super().multiply(a, b)
+
+        budget = 2 * 256 * instance(256)[1]
+        monkeypatch.setattr(legendre, "TRANSFORM_DIGIT_BUDGET", budget)
+        monkeypatch.setattr(legendre, "Context", Recording)
+        P, w = instance(d)
+        assert (2 * d * w <= budget) == (d <= 256)
+        assert christoffel_transform(P) == transform_by_definition(P)
+        assert max(sizes) <= budget
+        assert (len(sizes) == 1) == (d <= 256)
+
+    def test_slots_beyond_int_str_limit(self):
+        # 9000-digit coefficients make slots of about 9050 digits; the
+        # kernel must not convert them through str(int) or int(str)
+        rng = random.Random(47)
+        P = DensePoly([rng.randint(-10**9000, 10**9000) for _ in range(20)] + [10**9000 - 1])
         assert christoffel_transform(P) == transform_by_definition(P)
 
     def test_all_negative(self):
@@ -104,7 +137,7 @@ class TestTransformKernel:
                            for _ in range(d)] + [Fraction(rng.randint(1, 99), rng.randint(1, 60))])
             assert christoffel_transform(P) == transform_by_definition(P)
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("block", range(1, 9))
     def test_small_blocks(self, block):
         rng = random.Random(block)
         for d in (1, 2, block, block + 1, 3 * block + 2, 25):
@@ -113,6 +146,53 @@ class TestTransformKernel:
             inv[1] = 10**6  # the largest entry, as lcm(1..d)/j gives
             want = [sum(nums[k] * inv[k - i] for k in range(i + 1, d + 1)) for i in range(d)]
             assert _toeplitz_tail(nums, inv, block) == want
+
+
+class TestDecimalContext:
+    """The kernel runs in a private decimal context: the thread's context,
+    here one that would round every product and trap the rounding, neither
+    changes the result nor is changed by the call."""
+
+    @staticmethod
+    def instance():
+        params = preset_catalog()["log2-m2"]
+        L = legendre_poly(params, 6)
+        rng = random.Random(48)
+        nums = [rng.randint(-10**60, 10**60) for _ in range(41)]
+        inv = [0] + [lcm_upto(40) // j for j in range(1, 41)]
+        return L, nums, inv
+
+    @staticmethod
+    def run(L, nums, inv, results, key):
+        ctx = decimal.Context(prec=5, traps=[decimal.Inexact, decimal.Rounded])
+        decimal.setcontext(ctx)
+        before = (ctx.prec, dict(ctx.flags), dict(ctx.traps))
+        out = (christoffel_transform(L), _toeplitz_tail(nums, inv, 7))
+        after = (ctx.prec, dict(ctx.flags), dict(ctx.traps))
+        results[key] = (out, before, after, decimal.getcontext() is ctx)
+
+    def check(self, n_threads):
+        L, nums, inv = self.instance()
+        want = (christoffel_transform(L), _toeplitz_tail(nums, inv, 7))
+        results = {}
+        threads = [threading.Thread(target=self.run, args=(L, nums, inv, results, k))
+                   for k in range(n_threads)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+            assert not th.is_alive()
+        assert sorted(results) == list(range(n_threads))
+        for out, before, after, same_ctx in results.values():
+            assert out == want
+            assert before == after and same_ctx
+            assert not any(after[1].values())
+
+    def test_one_thread(self):
+        self.check(1)
+
+    def test_two_threads_at_once(self):
+        self.check(2)
 
 
 class TestFrozenDigests:
