@@ -35,7 +35,7 @@ from .legendre import (
     reduced_form_value,
     structural_identity_suite,
 )
-from .measures import measure_bound, preset_catalog
+from .measures import boundary_rate, measure_bound, preset_catalog
 from .series import (
     derivative_series_identity,
     hyperharmonic_identity,
@@ -260,11 +260,8 @@ def cmd_asymptotics(args) -> int:
     if seq == "L":
         target = float(sd.log_v_max)
     else:
-        z = params.z
         with mp.workprec(128):
-            target = float(sd.log_v_capped
-                           - params.q[0] * mp.log(abs(mp.mpf(z.numerator)) / z.denominator)
-                           - params.p[0] * mp.log(abs(mp.mpf((1 - z).numerator)) / (1 - z).denominator))
+            target = float(sd.log_v_capped + boundary_rate(params))
     rel = abs(slope - target) / abs(target) if target else float("inf")
     rows = ["t,log_windowed_max"]
     for i, v in enumerate(wmax):

@@ -34,7 +34,7 @@ from typing import Sequence
 import mpmath as mp
 
 from .errors import ParamError
-from .exact import DensePoly, lcm_upto, primes_in_range
+from .exact import DensePoly, lcm_clearing_multiplier, primes_in_range
 from .legendre import ParamSet
 
 MAX_BRUTE_FORCE_N = 9  # 9! permutations is the largest sane exhaustive search
@@ -51,10 +51,6 @@ class ExponentProfile:
     cross_sums: tuple[int, ...]          # all p_i + q_j, descending
     lcm_exponents: tuple[Fraction, ...]  # N_j = max(K_j, K_1/j), j = 1..n
     diagonal_sums: tuple[int, ...]       # p_l + q_l, descending
-
-    def lcm_index(self, j: int, t: int) -> int:
-        """Integer index floor(N_j * t) = max(K_j t, floor(K_1 t / j))."""
-        return max(self.cross_sums[j - 1] * t, self.cross_sums[0] * t // j)
 
 
 def exponent_profile(params: ParamSet) -> ExponentProfile:
@@ -262,11 +258,7 @@ def strong_integrality_check(params: ParamSet, t: int,
     """
     if not transforms:
         return True
-    m = len(transforms)
-    prof = exponent_profile(params)
-    mult = 1
-    for j in range(1, m + 1):
-        mult *= lcm_upto(prof.lcm_index(j, t))
+    mult = lcm_clearing_multiplier(exponent_profile(params).cross_sums, t, len(transforms))
     delta = guaranteed_divisor(params, t)
     top = transforms[-1]
     for c in top.coeffs:

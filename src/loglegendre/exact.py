@@ -6,6 +6,9 @@ Polynomials are dense coefficient lists in one variable, lowest degree first,
 with no trailing zero coefficients; coefficients may be ints or Fractions
 (both expose ``.numerator`` / ``.denominator``).
 
+Roots are located by Descartes' rule of signs: by Rolle's theorem the
+Legendre polynomials have only real roots, and then the rule is exact.
+
 The modular kernel at the end works on residues modulo 128-bit primes and
 lifts its results to the rationals by rational reconstruction; it uses ints
 only.
@@ -19,7 +22,7 @@ from __future__ import annotations
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, prod
 from typing import Iterable, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -39,6 +42,18 @@ def decimal_digits(n: int) -> str:
     and it leaves the process-wide limit alone.
     """
     return str(Decimal(n))
+
+
+def _parse_int(text: str) -> int:
+    """int(text) without the int-from-str digit limit: the digits go through
+    ``decimal.Decimal``, after a check that the text has a shape int() takes
+    (Decimal also takes '1e5', '1.5', 'nan' or '1__0')."""
+    body = text.strip()
+    sign = body[:1] if body[:1] in ("+", "-") else ""
+    groups = body[len(sign):].split("_")
+    if not all(g.isdecimal() for g in groups):
+        raise ValueError(f"invalid integer: {text!r}")
+    return int(Decimal(sign + "".join(groups)))
 
 
 def binomial_integer(nn: int, m: int) -> int:
@@ -105,6 +120,12 @@ def lcm_upto(l: int) -> int:
             pk *= p
         out *= pk
     return out
+
+
+def lcm_clearing_multiplier(sums: Sequence[int], t: int, m: int) -> int:
+    """prod_{j=1..m} d_{max(X_j t, floor(X_1 t / j))}, d_l = lcm(1..l), for
+    descending sums X: the diagonal sums p_l + q_l, or the cross sums p_i + q_j."""
+    return prod(lcm_upto(max(sums[j - 1] * t, sums[0] * t // j)) for j in range(1, m + 1))
 
 
 def prime_valuation(s: int, m: int) -> int:
@@ -223,6 +244,10 @@ class DensePoly:
             acc = acc * x + c
         return acc
 
+    def compose_negative(self) -> "DensePoly":
+        """Return P(-z)."""
+        return DensePoly([-c if i % 2 else c for i, c in enumerate(self.coeffs)])
+
     def compose_one_minus(self) -> "DensePoly":
         """Return P(1 - z), exactly."""
         out = [0] * len(self.coeffs)
@@ -287,7 +312,7 @@ class DensePoly:
             if not line:
                 continue
             num, _, den = line.partition("/")
-            f = Fraction(int(num), int(den) if den else 1)
+            f = Fraction(_parse_int(num), _parse_int(den) if den else 1)
             coeffs.append(f.numerator if f.denominator == 1 else f)
         out = DensePoly(coeffs)
         if len(out.coeffs) != len(coeffs):
@@ -313,86 +338,18 @@ def normalized_derivative(P: DensePoly, m: int) -> DensePoly:
     return DensePoly(out)
 
 
-# ---------------------------------------------------------------------------
-# real-root counting (Sturm chains)
-# ---------------------------------------------------------------------------
+def unit_interval_sign_variations(P: DensePoly) -> tuple[int, int]:
+    """Sign variations in the coefficients of P(-x) and of P(1+x).
 
-def _poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = a[:]
-    while len(a) >= len(b):
-        f = a[-1] / b[-1]
-        off = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[off + i] -= f * c
-        while a and a[-1] == 0:
-            a.pop()
-        if not a:
-            break
-    return a
+    By Descartes' rule of signs they bound the numbers of roots below 0 and
+    above 1, with multiplicity, and equal them when all roots are real.
+    """
+    def variations(Q: DensePoly) -> int:
+        signs = [c > 0 for c in Q.coeffs if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
 
-
-def _primitive(cs: list[Fraction]) -> list[Fraction]:
-    if not cs:
-        return cs
-    den = 1
-    for c in cs:
-        den = den // gcd(den, c.denominator) * c.denominator
-    num = gcd(*(abs(c.numerator * (den // c.denominator)) for c in cs))
-    if num == 0:
-        return cs
-    return [Fraction(c.numerator * (den // c.denominator) // num) for c in cs]
-
-
-def _squarefree(cs: list[Fraction]) -> list[Fraction]:
-    d = [i * c for i, c in enumerate(cs)][1:]
-    g = cs
-    h = d
-    while h:
-        g, h = h, _poly_rem(g, h)
-        g = _primitive(g)
-        h = _primitive(h)
-    if len(g) <= 1:
-        return cs
-    # exact division cs / g
-    q: list[Fraction] = []
-    rem = cs[:]
-    while len(rem) >= len(g):
-        f = rem[-1] / g[-1]
-        q.append(f)
-        off = len(rem) - len(g)
-        for i, c in enumerate(g):
-            rem[off + i] -= f * c
-        rem.pop()
-        while rem and rem[-1] == 0 and len(rem) >= len(g):
-            q.append(Fraction(0))
-            rem.pop()
-    return list(reversed(q))
-
-
-def count_real_roots_in(P: DensePoly, a: Rational, b: Rational) -> int:
-    """Number of distinct real roots of P in the half-open interval (a, b]."""
-    cs = [Fraction(c) for c in P.coeffs]
-    if len(cs) <= 1:
-        return 0
-    cs = _squarefree(cs)
-    chain = [cs, _primitive([i * c for i, c in enumerate(cs)][1:])]
-    while len(chain[-1]) > 1:
-        r = _poly_rem(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(_primitive([-c for c in r]))
-
-    def variations(x: Rational) -> int:
-        signs = []
-        for p in chain:
-            acc: Rational = 0
-            for c in reversed(p):
-                acc = acc * x + c
-            if acc != 0:
-                signs.append(1 if acc > 0 else -1)
-        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-
-    return variations(a) - variations(b)
+    return (variations(P.compose_negative()),
+            variations(P.compose_one_minus().compose_negative()))
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,8 @@ from typing import Optional, Sequence
 import mpmath as mp
 
 from .errors import InternalCheckError, ParamError, PrecisionError
-from .exact import DensePoly, count_real_roots_in, decimal_digits, lcm_upto
+from .exact import (DensePoly, decimal_digits, lcm_clearing_multiplier, lcm_upto,
+                    unit_interval_sign_variations)
 
 IDENTITY_CAP = 60                  # largest M*t the identity suite will accept
 DEFAULT_GRID_STEP = Fraction(1, 1000)
@@ -464,23 +465,23 @@ def form_terms(params: ParamSet, t: int, j: int,
 
 
 def legendre_function_value(params: ParamSet, t: int, j: int, precision: int,
-                            L: Optional[DensePoly] = None,
-                            max_working_bits: int = DEFAULT_MAX_WORKING_BITS) -> mp.mpf:
+                            L: Optional[DensePoly] = None) -> mp.mpf:
     """Value of the j-th log form L(z) log^j(z/(z-1)) - T^j(L)(z) at z = a/b.
 
     The form is an exponentially small difference of exponentially large
     terms, so the working precision is raised above the exact bit magnitude
     of the terms, then once more after the result's own scale is known, so
-    the returned value carries `precision` significant bits.
+    the returned value carries `precision` significant bits.  A working
+    precision above DEFAULT_MAX_WORKING_BITS raises PrecisionError.
     """
     lz, tz = form_terms(params, t, j, L=L)
     w = params.z / (params.z - 1)
     magbits = max(_bit_magnitude(lz), _bit_magnitude(tz), 1)
 
     def compute(workbits: int) -> mp.mpf:
-        if workbits > max_working_bits:
+        if workbits > DEFAULT_MAX_WORKING_BITS:
             raise PrecisionError(
-                f"working precision {workbits} bits exceeds cap {max_working_bits}"
+                f"working precision {workbits} bits exceeds cap {DEFAULT_MAX_WORKING_BITS}"
             )
         with mp.workprec(workbits):
             logw = mp.log(_mpf_from_fraction(w))
@@ -606,20 +607,17 @@ def check_unit_interval_bound(params: ParamSet, t: int,
 
 
 def check_roots_in_unit_interval(params: ParamSet, t: int) -> IdentityReport:
-    core = legendre_reduced(params, t)
-    # roots exactly at 0 or 1 are inside [0,1]; strip them so the half-open
-    # Sturm intervals below cannot miscount the endpoints
-    cs = list(core.coeffs[core.order_at_zero():])
-    core = DensePoly(cs)
-    while core.degree >= 1 and core.evaluate(1) == 0:
-        core = core.deflate_at_one()
-    if core.degree < 1:
-        return IdentityReport("roots-in-unit-interval", True)
-    radius = 2 + max(abs(Fraction(c)) for c in core.coeffs) / abs(Fraction(core.coeffs[-1]))
-    outside = (count_real_roots_in(core, -radius, Fraction(0))
-               + count_real_roots_in(core, Fraction(1), radius))
-    return IdentityReport("roots-in-unit-interval", outside == 0,
-                          None if outside == 0 else f"{outside} roots outside [0,1]")
+    """No real root of the reduced polynomial P lies outside [0, 1].
+
+    Multiplying by z^a (1-z)^b keeps all roots real and in [0, 1], and by
+    Rolle's theorem so does each derivative; so all roots of P are real and
+    in [0, 1].  Descartes' rule of signs checks it: P(-x) and P(1+x) must
+    have no sign variation, and a failure counts the roots outside.
+    """
+    below, above = unit_interval_sign_variations(legendre_reduced(params, t))
+    ok = below == above == 0
+    return IdentityReport("roots-in-unit-interval", ok,
+                          None if ok else f"sign variations: {below} below 0, {above} above 1")
 
 
 def check_orthogonality(params: ParamSet, t: int, rng: random.Random) -> IdentityReport:
@@ -644,9 +642,7 @@ def check_trivial_integrality(params: ParamSet, t: int) -> IdentityReport:
         return IdentityReport("trivial-integrality", True, "skipped: no m")
     L = legendre_poly(params, t)
     mult = trivial_clearing_multiplier(params, t)
-    cur = L
-    for _ in range(params.m):
-        cur = christoffel_transform(cur)
+    cur = transform_iterates(params, t, L, params.m)[-1]
     bad = next((i for i, c in enumerate(cur.coeffs)
                 if (mult * c).denominator != 1), None)
     return IdentityReport("trivial-integrality", bad is None,
@@ -659,10 +655,7 @@ def trivial_clearing_multiplier(params: ParamSet, t: int) -> int:
     if params.m is None:
         raise ParamError("multiplier needs the form order m")
     H = sorted((p + q for p, q in params.pairs()), reverse=True)
-    out = lcm_upto(H[0] * t)
-    for j in range(2, params.m + 1):
-        out *= lcm_upto(max(H[j - 1] * t, H[0] * t // j))
-    return out
+    return lcm_clearing_multiplier(H, t, params.m)
 
 
 def structural_identity_suite(params: ParamSet, t: int,

@@ -93,14 +93,21 @@ class MeasureReport:
         return "\n".join(lines)
 
 
+def boundary_rate(params: ParamSet) -> mp.mpf:
+    """-q_1 log|z| - p_1 log|1-z| at the current working precision: the rate
+    of the factor z^(-q_1 t) (1-z)^(-p_1 t) that reduces the log forms."""
+    z = params.z
+    return (-params.q[0] * mp.log(abs(mp.mpf(z.numerator)) / z.denominator)
+            - params.p[0] * mp.log(abs(mp.mpf((1 - z).numerator)) / (1 - z).denominator))
+
+
 def growth_decay_rates(params: ParamSet, delta, log_v_max, log_v_capped,
                        precision: int = DEFAULT_PRECISION):
     """The (growth, decay) exponent pair; raises when either is nonpositive."""
     if params.m is None:
         raise ParamError("measure computation needs the form order m")
     prof = exponent_profile(params)
-    z = params.z
-    b = z.denominator
+    b = params.z.denominator
     p1, q1 = params.p[0], params.q[0]
     M = params.total_degree
     with mp.workprec(precision + 16):
@@ -108,8 +115,7 @@ def growth_decay_rates(params: ParamSet, delta, log_v_max, log_v_capped,
         for j in range(1, params.m + 1):
             nsum += prof.lcm_exponents[j - 1]
         core = (
-            -q1 * mp.log(abs(mp.mpf(z.numerator)) / z.denominator)
-            - p1 * mp.log(abs(mp.mpf((1 - z).numerator)) / (1 - z).denominator)
+            boundary_rate(params)
             + mp.mpf(nsum.numerator) / nsum.denominator
             - delta
             + (M - p1 - q1) * mp.log(b)

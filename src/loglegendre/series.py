@@ -10,8 +10,12 @@ product of binomials,
 
 a polynomial in k.  This module rebuilds the Legendre polynomial from
 integer Newton differences of Q at k = -1, ..., -(d+1) (d = M t), giving a
-brute-force oracle that never touches the differential operators.  It also
-hosts the basis change P <-> Q, interpolation at k = 0..d, and the
+brute-force oracle that never touches the differential operators.
+
+Since (1-z) z^i = (-1)^i w^i/(1-w)^(i+1), P(z) = sum_i c_i z^i has
+Q(k) = sum_i (-1)^i c_i C(k, i): the Newton coefficients of Q at k = 0 are
+P's coefficients with alternating signs, and the basis change P <-> Q goes
+through them.  The module also hosts interpolation at k = 0..d and the
 combinatorial identities tying the transform T to the formal k-derivative
 of Q.  Polynomials in k are :class:`DensePoly` values, like those in z.
 """
@@ -21,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InternalCheckError, ParamError
+from .errors import ParamError
 from .exact import DensePoly, Rational, binomial_integer
 from .legendre import ParamSet, christoffel_transform
 
@@ -51,89 +55,49 @@ def _times_one_minus_z(c: list[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# the basis change P <-> Q
+# Newton coefficients, the basis change P <-> Q, and interpolation
 # ---------------------------------------------------------------------------
 
-def _rising_binomial_basis(deg: int) -> list[list[Fraction]]:
-    """B_j(k) = C(k+j, j) in monomial form, for j = 0..deg."""
-    basis = [[Fraction(1)]]
-    for j in range(1, deg + 1):
-        prev = basis[-1]
-        nxt = [Fraction(0)] * (len(prev) + 1)
-        for i, b in enumerate(prev):  # multiply by (k + j) / j
-            nxt[i + 1] += b
-            nxt[i] += b * j
-        basis.append([x / j for x in nxt])
-    return basis
+def _forward_differences(values: Sequence[Rational]) -> list[Fraction]:
+    """The leading forward differences of values on the nodes 0..d: the
+    Newton coefficients b_j of the polynomial sum_j b_j C(k, j) through them."""
+    diffs = [Fraction(v) for v in values]
+    out = []
+    while diffs:
+        out.append(diffs[0])
+        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+    return out
+
+
+def _newton_to_monomial(b: Sequence[Rational]) -> DensePoly:
+    """sum_j b_j C(k, j) in the monomial basis in k, by Horner's rule on
+    b_0 + k (b_1 + (k-1)/2 (b_2 + ...))."""
+    acc = DensePoly()
+    for j in range(len(b) - 1, -1, -1):
+        acc = acc * DensePoly([Fraction(-j, j + 1), Fraction(1, j + 1)]) + DensePoly([b[j]])
+    return acc
 
 
 def p_to_q(P: DensePoly) -> DensePoly:
     """The Q(k) with (1-z) P(z) = sum_k Q(k) w^k.
 
-    P(1-z) = sum_j a_j z^j gives P = sum_j a_j (1-z)^j, and each (1-z)^j
-    contributes a_j C(k+j, j) to Q.
+    Its Newton coefficients at k = 0 are P's coefficients with alternating
+    signs: Q(k) = sum_i (-1)^i c_i C(k, i).
     """
-    if P.is_zero():
-        return DensePoly()
-    a = P.compose_one_minus().coeffs
-    basis = _rising_binomial_basis(len(a) - 1)
-    out = [Fraction(0)] * len(a)
-    for j, aj in enumerate(a):
-        if aj:
-            for i, b in enumerate(basis[j]):
-                out[i] += aj * b
-    return DensePoly(out)
+    return _newton_to_monomial(P.compose_negative().coeffs)
 
 
 def q_to_p(Q: DensePoly) -> DensePoly:
-    """Inverse basis change: the P with (1-z) P(z) = sum_k Q(k) w^k."""
-    if not Q.coeffs:
-        return DensePoly()
-    deg = len(Q.coeffs) - 1
-    basis = _rising_binomial_basis(deg)
-    rem = [Fraction(c) for c in Q.coeffs]
-    a = [Fraction(0)] * (deg + 1)
-    for j in range(deg, -1, -1):
-        if rem[j]:
-            aj = rem[j] / basis[j][j]
-            a[j] = aj
-            for i, b in enumerate(basis[j]):
-                rem[i] -= aj * b
-    if any(rem):
-        raise InternalCheckError("basis peel left a remainder")
-    # P = sum_j a_j (1-z)^j
-    return DensePoly(a).compose_one_minus()
+    """Inverse basis change: the P with (1-z) P(z) = sum_k Q(k) w^k, read off
+    the forward differences of Q(0), ..., Q(d)."""
+    values = [Q.evaluate(k) for k in range(len(Q.coeffs))]
+    return DensePoly(_forward_differences(values)).compose_negative()
 
-
-# ---------------------------------------------------------------------------
-# interpolation and the oracle
-# ---------------------------------------------------------------------------
 
 def interpolate_at_integers(values: Sequence[Rational]) -> DensePoly:
-    """The unique polynomial of degree < len(values) through (i, values[i]).
-
-    Forward differences on the nodes 0..d, assembled in the falling
-    factorial basis C(k, j); exact throughout.
-    """
-    if not values:
-        return DensePoly()
-    diffs = [Fraction(v) for v in values]
-    deg = len(values) - 1
-    out = [Fraction(0)] * (deg + 1)
-    basis = [Fraction(1)]  # C(k, 0)
-    for j in range(deg + 1):
-        lead = diffs[0]
-        if lead:
-            for i, b in enumerate(basis):
-                out[i] += lead * b
-        diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
-        if j < deg:
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for i, b in enumerate(basis):  # multiply by (k - j) / (j + 1)
-                nxt[i + 1] += b
-                nxt[i] -= b * j
-            basis = [x / (j + 1) for x in nxt]
-    return DensePoly(out)
+    """The unique polynomial of degree < len(values) through (i, values[i]):
+    forward differences on the nodes 0..d, then the Newton form expanded."""
+    return _newton_to_monomial(_forward_differences(values))
 
 
 def series_k_polynomial(params: ParamSet, t: int) -> DensePoly:

@@ -134,6 +134,12 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--suite", "derivative", "--count", "10")
         assert code == 0
 
+    @pytest.mark.parametrize("suite", ["structural", "integrality"])
+    def test_exact_suites(self, capsys, suite):
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--count", "5")
+        assert code == 0
+        assert f"{suite}: PASS" in out
+
 
 class TestConstructCommand:
     def test_round_trip(self, capsys):

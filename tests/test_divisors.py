@@ -21,7 +21,7 @@ from loglegendre.divisors import (
     strong_integrality_check,
 )
 from loglegendre.errors import ParamError
-from loglegendre.exact import DensePoly, lcm_upto
+from loglegendre.exact import DensePoly, lcm_clearing_multiplier, lcm_upto
 from loglegendre.legendre import (
     ParamSet,
     build_record,
@@ -71,11 +71,12 @@ class TestExponentProfile:
         assert prof.diagonal_sums == (1,)
 
     def test_lcm_index_floor(self, example2):
-        prof = exponent_profile(example2)
-        # N_2 = max(9, 10/2) = 9, so index at t=3 is 27
-        assert prof.lcm_index(2, 3) == 27
+        K = exponent_profile(example2).cross_sums
+        # N_2 = max(9, 10/2) = 9, so the second factor at t=3 is d_27
+        assert lcm_clearing_multiplier(K, 3, 2) == lcm_upto(30) * lcm_upto(27)
         # fractional branch: max(K_3 t, floor(K_1 t / 3))
-        assert prof.lcm_index(3, 1) == max(prof.cross_sums[2], 10 // 3)
+        assert lcm_clearing_multiplier(K, 1, 3) == \
+            lcm_upto(10) * lcm_upto(9) * lcm_upto(max(K[2], 10 // 3))
 
 
 class TestFloorGain:

@@ -7,7 +7,6 @@ import pytest
 from loglegendre.exact import (
     DensePoly,
     binomial_integer,
-    count_real_roots_in,
     crt_pair,
     decimal_digits,
     first_dependency_mod,
@@ -17,6 +16,7 @@ from loglegendre.exact import (
     prime_valuation,
     primes_in_range,
     rational_reconstruction,
+    unit_interval_sign_variations,
 )
 
 
@@ -184,6 +184,30 @@ class TestDensePoly:
         half = Fraction(-1, 2 * 10**5000)
         assert DensePoly([half]).render() == "-1/2" + "0" * 5000
 
+    def test_parse_beyond_int_str_limit(self):
+        # numerators and denominators of 5000-9000 digits, past CPython's
+        # default int-from-str limit of 4300
+        rng = random.Random(8)
+        for _ in range(4):
+            cs = [Fraction(rng.randint(-10**9000, 10**9000), rng.randint(1, 10**5000))
+                  for _ in range(3)] + [10**6000 + 1, -(10**4400)]
+            p = DensePoly(cs)
+            assert DensePoly.parse(p.render()) == p
+
+    @pytest.mark.parametrize("line, value", [
+        ("12", 12), ("+7", 7), ("-0", 0), ("007", 7), ("1_000", 1000),
+        (" 5 ", 5), ("\u2003-4\t", -4), ("\u0661\u0662", 12), ("-3/ 4", Fraction(-3, 4)),
+        ("6/4", Fraction(3, 2)), ("5/", 5)])
+    def test_parse_accepts_int_forms(self, line, value):
+        assert DensePoly.parse(line + "\n1") == DensePoly([value, 1])
+
+    @pytest.mark.parametrize("line", [
+        "1e5", "1.5", "0x10", "nan", "inf", "-inf", "Infinity", "1__0", "_1", "1_",
+        "+-1", "-", "1 0", "1/1e2", "1/nan", "3/4/5", "1.", ".5", "0b11"])
+    def test_parse_rejects_non_integer_forms(self, line):
+        with pytest.raises(ValueError):
+            DensePoly.parse(line)
+
     def test_parse_rejects_trailing_zero(self):
         with pytest.raises(ValueError):
             DensePoly.parse("1/1\n0/1")
@@ -227,17 +251,30 @@ class TestDecimalDigits:
         assert decimal_digits(7 * 10**6000 + 3) == "7" + "0" * 5999 + "3"
 
 
-class TestRootCounting:
-    def test_known_roots(self):
-        # roots at -1, 0, 2
-        p = poly(0, -2, -1, 1)
-        assert count_real_roots_in(p, Fraction(-3), Fraction(3)) == 3
-        assert count_real_roots_in(p, Fraction(0), Fraction(3)) == 1
-        assert count_real_roots_in(p, Fraction(-3), Fraction(-1)) == 1
+class TestUnitIntervalSignVariations:
+    def test_roots_at_the_endpoints(self):
+        # z (1-z)^2 (z - 1/2): a double root at 1 and a root at 0
+        p = poly(0, 1) * poly(1, -1) ** 2 * poly(Fraction(-1, 2), 1)
+        assert unit_interval_sign_variations(p) == (0, 0)
+        assert unit_interval_sign_variations(poly(0, 0, 0, 1)) == (0, 0)
 
-    def test_multiple_roots_counted_once(self):
-        p = poly(1, -2, 1) * poly(1, -2, 1)  # (1-z)^4
-        assert count_real_roots_in(p, Fraction(0), Fraction(2)) == 1
+    def test_shifted_legendre(self):
+        assert unit_interval_sign_variations(poly(-1, 12, -30, 20)) == (0, 0)
+        for n in (1, 6, 15):
+            # Rodrigues: D_n (z (1-z))^n is +-P_n(2z - 1)
+            p = normalized_derivative(poly(0, 1, -1) ** n, n)
+            assert p.degree == n
+            assert unit_interval_sign_variations(p) == (0, 0)
+
+    def test_roots_outside_are_counted(self):
+        base = normalized_derivative(poly(0, 1, -1) ** 6, 6)
+        assert unit_interval_sign_variations(poly(Fraction(1, 2), 1) * base) == (1, 0)
+        assert unit_interval_sign_variations(poly(Fraction(-3, 2), 1) * base) == (0, 1)
+        assert unit_interval_sign_variations(poly(1, 2) ** 2 * poly(-3, 2)) == (2, 1)
+
+    def test_constants(self):
+        assert unit_interval_sign_variations(DensePoly()) == (0, 0)
+        assert unit_interval_sign_variations(poly(-5)) == (0, 0)
 
 
 def fraction_first_dependency(columns):

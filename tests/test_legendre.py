@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from loglegendre import legendre as legendre_module
 from loglegendre.corpus import oracle_corpus
 from loglegendre.errors import InternalCheckError, ParamError, PrecisionError
 from loglegendre.exact import DensePoly, normalized_derivative
@@ -12,6 +13,7 @@ from loglegendre.legendre import (
     apply_dpq,
     build_record,
     check_integer_coefficients,
+    check_roots_in_unit_interval,
     christoffel_transform,
     christoffel_value,
     eval_at_rational,
@@ -261,9 +263,10 @@ class TestFunctionValue:
         assert abs(val) < mp.mpf(1)
         assert lz > 10**50
 
-    def test_precision_cap(self, example1):
+    def test_precision_cap(self, example1, monkeypatch):
+        monkeypatch.setattr(legendre_module, "DEFAULT_MAX_WORKING_BITS", 80)
         with pytest.raises(PrecisionError):
-            legendre_function_value(example1, 3, 1, 128, max_working_bits=80)
+            legendre_function_value(example1, 3, 1, 128)
 
     def test_second_order_form(self, example2):
         # both form orders stay tiny against their huge constituents and decay
@@ -333,6 +336,16 @@ class TestStructuralSuite:
     def test_size_cap(self, example1):
         with pytest.raises(ParamError):
             structural_identity_suite(example1, 10)
+
+    def test_roots_check_names_outside_roots(self, example1, monkeypatch):
+        core = legendre_reduced(example1, 2)
+        assert check_roots_in_unit_interval(example1, 2).passed
+        # a real root at 3/2 and a double one at -1/2
+        bad = poly(-3, 2) * poly(1, 2) ** 2 * core
+        monkeypatch.setattr(legendre_module, "legendre_reduced", lambda params, t: bad)
+        rep = check_roots_in_unit_interval(example1, 2)
+        assert not rep.passed
+        assert rep.witness == "sign variations: 2 below 0, 1 above 1"
 
     def test_fault_injection(self):
         corrupted = poly(1, Fraction(1, 3), 2)
