@@ -210,6 +210,10 @@ def _verify_integrality(count, seed, lines) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.count < 1:
+        raise ParamError(f"--count must be at least 1, got {args.count}")
+    if args.max < 0:
+        raise ParamError(f"--max must be at least 0, got {args.max}")
     suites = {
         "structural": lambda L: _verify_structural(args.count, args.seed, L),
         "oracle": lambda L: _verify_oracle(args.count, args.seed, L),

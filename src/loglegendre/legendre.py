@@ -19,17 +19,23 @@ which are exponentially small compared to their two terms when z < 0.
 Evaluating them therefore needs the cancellation-aware precision policy
 implemented in :func:`legendre_function_value`.
 
-T is a Toeplitz product with the weights lcm(1..d)/j, computed as Kronecker
-products in base 10^w by the ``decimal`` module (its multiplication is a
-number-theoretic transform for large operands; CPython ints use Karatsuba):
+T is a Toeplitz product with the weights lcm(1..d)/j: the low d slots of
+the product of the reversed inputs and the weights, a short product
+computed from Kronecker products in base 10^w by the ``decimal`` module (its
+multiplication is a number-theoretic transform for large operands; CPython
+ints use Karatsuba):
 
 - bias: the inputs are shifted by h = max |input| to lie in [0, 2h], and
   h times a prefix sum of the weights is subtracted from each output;
 - slot width: 10^w exceeds 2h times the sum of all weights, which bounds
-  every slot, so the digits of the product are the sums;
-- tiles: square b x b blocks of outputs and inputs, whose weights form a
-  window of 2b-1 slots; b is the widest for which each product stays under
-  TRANSFORM_DIGIT_BUDGET digits, which bounds the transform's workspace.
+  every slot of every partial sum, so the digits of a product are the sums;
+- blocks and levels: both operands are cut into blocks of b slots, n of
+  each; level s adds the s+1 block products that land on its slots to the
+  carry from level s-1, reads out its low b slots and carries the rest, so
+  n(n+1)/2 products of 2b slots make the low d slots.  n is the fewest
+  blocks for which each product stays under TRANSFORM_DIGIT_BUDGET digits,
+  and blocks are packed only when a product needs them, which bounds the
+  transform's workspace.
 
 Construction and transforms are exact integer/rational work, safe across
 threads: the transform runs in a decimal context of its own with unbounded
@@ -242,34 +248,42 @@ def _toeplitz_tail(nums: list[int], inv: list[int], block: Optional[int] = None)
     """out[i] = sum_{k>i} nums[k] inv[k-i] for 0 <= i < d = len(nums) - 1,
     where inv has d+1 entries, inv[0] is unused and inv[1..d] are positive.
 
-    Kronecker substitution in base X = 10^w, multiplied by ``decimal``,
-    whose large products use libmpdec's number-theoretic transform where
-    CPython's ints use Karatsuba.
+    A short product by Kronecker substitution in base X = 10^w, multiplied
+    by ``decimal``, whose large products use libmpdec's number-theoretic
+    transform where CPython's ints use Karatsuba.  With
+
+        r = sum_{a<d} (nums[d-a] + h) X^a,    v = sum_{c<d} inv[c+1] X^c,
+
+    slot d-1-i of r*v is the biased out[i], and only the low d slots of
+    r*v are needed.
 
     Bias: with h = max_{k>=1} |nums[k]|, the inputs nums[k] + h lie in
     [0, 2h], so every slot is a nonnegative integer.  The biased sums
     exceed out[i] by h S(d-i), S(n) = inv[1] + ... + inv[n], which one
     prefix sum removes.
 
-    Tiles: outputs and inputs are cut into blocks of b, output block
-    [i0, i0+b) against input block [k0, k0+b) with k0 = i0 + 1 + m b.  Its
-    weights inv[k-i] form a window of 2b-1 slots, inv[m b - b + 2 + u] at
-    slot u (0 outside 1..d).  With the input block reversed,
-    A = sum_r (nums[k0+b-1-r] + h) X^r, slot 2b-2-s of A*B is the tile's
-    share of output i0+s, and the products of one output block are added
-    before they are read.  Zero slots at either end of an operand go into
-    its exponent, not its digits, so a tile on the diagonal (m = 0) costs
-    2b slots and the others 3b-1.  The width is d, one tile, when its 2d
-    slots of w digits fit TRANSFORM_DIGIT_BUDGET, else the largest b whose
-    3b-1 slots fit; `block` overrides it.
+    Blocks and levels: r and v are cut into blocks R_0, R_1, ... and
+    V_0, V_1, ... of b slots (the last one may be shorter), n = ceil(d/b)
+    of each.  R_i V_j lands on slots from (i+j) b up, so level s = i + j
+    is complete once its s+1 products are added to the carry, the high
+    slots of level s-1.  Its low b slots are then final outputs, and the
+    rest is the carry into level s+1.  That is n(n+1)/2 products of at
+    most 2b slots.  n is the fewest blocks for which 2b slots of w digits
+    fit TRANSFORM_DIGIT_BUDGET (n = 1, b = d, one product, when 2d slots
+    fit), and b = ceil(d/n) evens the blocks out, which keeps n and makes
+    the products smaller.  `block` sets b.
 
-    Slot width: slot v of the sum of one output block's products adds, for
-    each m, at most b biased inputs times weights, and the weights of
-    successive m are disjoint runs of inv[1..d].  So every slot is at most
+    Slot width: every slot of every partial sum, carry included, is a sum
+    of nonnegative terms of one slot of r*v, and a slot of r*v adds, for
+    distinct c, at most 2h inv[c+1].  So every slot is at most
     2h S(d) < 10^w, and no slot carries into the next.
 
+    Memory: a block is packed when a product needs it and dropped after
+    it, so at most two packed blocks are alive at once, besides the level
+    sum; the workspace is bounded by the budget, not by d w.
+
     Operands are packed from decimal digit strings a chunk of slots at a
-    time, and the sums are read back the same way; no conversion goes
+    time, and the outputs are read back the same way; no conversion goes
     through str(int) or int(str), so CPython's int-str digit limit does not
     apply at any w (the pure-Python ``_pydecimal`` converts ints through
     str and keeps the limit).  The arithmetic runs in a private context
@@ -286,49 +300,49 @@ def _toeplitz_tail(nums: list[int], inv: list[int], block: Optional[int] = None)
     w = _slot_digits(2 * h * prefix[d])
     if block:
         b = min(block, d)
-    elif 2 * d * w <= TRANSFORM_DIGIT_BUDGET:
-        b = d  # one tile, on the diagonal: 2d slots
-    else:
-        b = max(1, (TRANSFORM_DIGIT_BUDGET // w + 1) // 3)
+    else:  # the fewest blocks whose products fit, as even as they can be
+        n = -(-d // max(1, TRANSFORM_DIGIT_BUDGET // (2 * w)))
+        b = -(-d // n)
     ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, rounding=ROUND_DOWN)
     chunk = max(1, TRANSFORM_DIGIT_BUDGET // (16 * w))  # slots per digit string
 
-    def pack(values: list[int], bias: int, low: int) -> Decimal:
-        """sum_r (values[-1-r] + bias) X^(low+r), Horner over chunks."""
+    def pack(values: list[int], bias: int) -> Decimal:
+        """sum_r (values[-1-r] + bias) X^r, Horner over chunks."""
         x = Decimal(0)
         for c0 in range(0, len(values), chunk):
             part = values[c0:c0 + chunk]
             text = "".join([decimal_digits(v + bias).zfill(w) for v in part])
             x = ctx.add(ctx.scaleb(x, w * len(part)), Decimal(text))
-        return ctx.scaleb(x, w * low)
+        return x
 
-    def window(x: Decimal, low: int, n: int) -> Decimal:
-        """Slots low .. low+n-1 of x >= 0, shifted down to slot 0."""
-        x = ctx.to_integral_value(ctx.scaleb(x, -w * low))
-        return ctx.subtract(x, ctx.scaleb(ctx.to_integral_value(ctx.scaleb(x, -w * n)), w * n))
+    def split(x: Decimal, n: int) -> tuple[Decimal, Decimal]:
+        """The low n slots of x >= 0, and the rest shifted down to slot 0."""
+        rest = ctx.to_integral_value(ctx.scaleb(x, -w * n))
+        return ctx.subtract(x, ctx.scaleb(rest, w * n)), rest
 
-    out = []
-    for i0 in range(0, d, b):
-        acc = Decimal(0)
-        for k0 in range(i0 + 1, d + 1, b):
-            k1 = min(k0 + b, d + 1)
-            base = k0 - i0 - b + 1  # weight index of slot u = 0
-            u0, u1 = max(0, 1 - base), min(2 * b - 2, d - base)
-            a = pack(nums[k0:k1], h, k0 + b - k1)
-            wts = pack(inv[base + u1:base + u0 - 1:-1], 0, u0)
-            acc = ctx.add(acc, ctx.multiply(a, wts))
-            # free the operands before the next ones are built: it keeps
-            # the heap less fragmented, and the exact benchmark's peak RSS
-            # about 0.3 MB lower
-            del a, wts
-        nb = min(b, d - i0)
-        acc = window(acc, 2 * b - 1 - nb, nb)  # slot nb-1-s is output i0+s
-        for s0 in range(0, nb, chunk):
-            n = min(chunk, nb - s0)
-            text = format(window(acc, nb - s0 - n, n), "f").zfill(w * n)
-            for r in range(n):
-                i = i0 + s0 + r
-                out.append(int(Decimal(text[w * r:w * (r + 1)])) - h * prefix[d - i])
+    def read(x: Decimal, top: int, nb: int) -> None:
+        """Set out[top - r], unbiased, from slot r of x for r < nb."""
+        for r0 in range(0, nb, chunk):
+            m = min(chunk, nb - r0)
+            part, x = split(x, m)
+            text = format(part, "f").zfill(w * m)
+            for u in range(m):  # text piece u is slot r0+m-1-u
+                i = top - r0 - m + 1 + u
+                out[i] = int(Decimal(text[w * u:w * (u + 1)])) - h * prefix[d - i]
+
+    out = [0] * d
+    acc = Decimal(0)  # the carry into level s, then the level's sum
+    for s in range(-(-d // b)):
+        for i in range(s + 1):
+            a0, c0 = i * b, (s - i) * b
+            ra = pack(nums[max(1, d - a0 - b + 1):d - a0 + 1], h)  # slot a: nums[d-a]
+            vc = pack(inv[min(d, c0 + b):c0:-1], 0)                # slot c: inv[c+1]
+            acc = ctx.add(acc, ctx.multiply(ra, vc))
+            del ra, vc  # at most two packed blocks alive
+        nb = min(b, d - s * b)
+        low, acc = split(acc, nb)
+        read(low, d - 1 - s * b, nb)
+        del low  # freed before the next level's products
     return out
 
 

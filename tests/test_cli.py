@@ -140,6 +140,28 @@ class TestVerifyCommand:
         assert code == 0
         assert f"{suite}: PASS" in out
 
+    @pytest.mark.parametrize("suite", ["all", "structural", "oracle", "hyperharmonic",
+                                       "derivative", "integrality"])
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_is_usage_error(self, capsys, suite, count):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--count", count)
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error: --count")
+        assert "PASS" not in out and "Traceback" not in err
+
+    @pytest.mark.parametrize("suite", ["all", "hyperharmonic"])
+    def test_negative_max_is_usage_error(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--max", "-1")
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error: --max")
+        assert "PASS" not in out and "Traceback" not in err
+
+    def test_smallest_ranges_run(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "hyperharmonic", "--max", "0")
+        assert code == 0 and "hyperharmonic: PASS" in out
+        code, out, _ = run(capsys, "verify", "--suite", "oracle", "--count", "1")
+        assert code == 0 and "oracle: PASS" in out
+
 
 class TestConstructCommand:
     def test_round_trip(self, capsys):

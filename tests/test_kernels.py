@@ -1,11 +1,12 @@
 """The integer kernels of the exact path against independent references.
 
 - multiplication by (1-z)^k (difference passes) against DensePoly products;
-- the transform T (tiled Kronecker product in decimal) against a Fraction
-  evaluation of T(z^k) = sum_{i<k} z^i/(k-i) and the direct Toeplitz sum,
-  on both sides of a tile boundary set by the digit budget, with slots
-  wider than CPython's int-str digit limit, and in threads whose decimal
-  context would round;
+- the transform T (a short product of Kronecker-packed blocks in decimal,
+  one level of block products at a time) against a Fraction evaluation of
+  T(z^k) = sum_{i<k} z^i/(k-i) and the direct Toeplitz sum, on both sides
+  of the one-product degree set by the digit budget, with n(n+1)/2
+  products for n blocks, a short last block, slots wider than CPython's
+  int-str digit limit, and in threads whose decimal context would round;
 - frozen SHA-256 digests of large constructions and transforms;
 - the series oracle (Newton differences at negative k) against the
   interpolation route q_to_p(series_k_polynomial(...)).
@@ -77,32 +78,58 @@ class TestTransformKernel:
             P = DensePoly([rng.randint(-9, 9) for _ in range(d)] + [rng.randint(1, 9)])
             assert christoffel_transform(P) == transform_by_definition(P)
 
+    @staticmethod
+    def record_products(monkeypatch):
+        """Patch the kernel's decimal context to record, for each product,
+        the digit counts of its two operands."""
+        sizes = []
+
+        class Recording(decimal.Context):
+            def multiply(self, a, b):
+                sizes.append((len(a.as_tuple().digits), len(b.as_tuple().digits)))
+                return super().multiply(a, b)
+
+        monkeypatch.setattr(legendre, "Context", Recording)
+        return sizes
+
     @pytest.mark.parametrize("d", [255, 256, 257, 258, 400])
     def test_block_boundary(self, d, monkeypatch):
-        """A digit budget whose last one-tile degree is 256 (2 d w digits);
-        larger d are cut into tiles of the width it allows, and no product
-        exceeds it."""
+        """A digit budget whose last one-product degree is 256 (2 d w
+        digits); larger d are cut into the n blocks that products of 2b
+        slots under it need, n(n+1)/2 products, and no product exceeds it."""
         def instance(n):
             rng = random.Random(n)
             P = DensePoly([rng.randint(-10**6, 10**6) for _ in range(n)] + [-10**6])
             inv = [0] + [lcm_upto(n) // j for j in range(1, n + 1)]
             return P, _slot_digits(2 * 10**6 * sum(inv))
 
-        sizes = []
-
-        class Recording(decimal.Context):
-            def multiply(self, a, b):
-                sizes.append(len(a.as_tuple().digits) + len(b.as_tuple().digits))
-                return super().multiply(a, b)
-
+        sizes = self.record_products(monkeypatch)
         budget = 2 * 256 * instance(256)[1]
         monkeypatch.setattr(legendre, "TRANSFORM_DIGIT_BUDGET", budget)
-        monkeypatch.setattr(legendre, "Context", Recording)
         P, w = instance(d)
         assert (2 * d * w <= budget) == (d <= 256)
         assert christoffel_transform(P) == transform_by_definition(P)
-        assert max(sizes) <= budget
+        assert max(a + b for a, b in sizes) <= budget
         assert (len(sizes) == 1) == (d <= 256)
+        n = -(-d // (budget // (2 * w)))
+        assert len(sizes) == n * (n + 1) // 2
+
+    @pytest.mark.parametrize("d, n", [(50, 3), (97, 4), (121, 5)])
+    def test_levels_with_short_last_block(self, d, n, monkeypatch):
+        """A budget of exactly 2b slots cuts d into n blocks, the last one
+        short: n(n+1)/2 products, each of two operands of at most b slots."""
+        rng = random.Random(d)
+        nums = [rng.randint(-10**40, 10**40) for _ in range(d + 1)]
+        inv = [0] + [rng.randint(1, 10**8) for _ in range(d)]
+        w = _slot_digits(2 * max(map(abs, nums[1:])) * sum(inv))
+        b = -(-d // n)
+        assert d % b and -(-d // b) == n
+        sizes = self.record_products(monkeypatch)
+        monkeypatch.setattr(legendre, "TRANSFORM_DIGIT_BUDGET", 2 * b * w)
+        want = [sum(nums[k] * inv[k - i] for k in range(i + 1, d + 1)) for i in range(d)]
+        assert _toeplitz_tail(nums, inv) == want
+        assert len(sizes) == n * (n + 1) // 2
+        assert max(max(pair) for pair in sizes) <= b * w
 
     def test_slots_beyond_int_str_limit(self):
         # 9000-digit coefficients make slots of about 9050 digits; the
