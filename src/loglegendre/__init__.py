@@ -12,7 +12,6 @@ from .exact import (
 from .legendre import (
     LegendreRecord,
     ParamSet,
-    apply_dpq,
     build_record,
     christoffel_transform,
     christoffel_value,

@@ -101,13 +101,6 @@ class FloorGainProfile:
               "mu": v} for a, b, v in self.segments()],
             indent=2)
 
-    @staticmethod
-    def from_json(text: str) -> "FloorGainProfile":
-        rows = json.loads(text)
-        return FloorGainProfile(
-            tuple(Fraction(r["from"]) for r in rows),
-            tuple(int(r["mu"]) for r in rows))
-
 
 @lru_cache(maxsize=64)
 def floor_gain_profile(params: ParamSet) -> FloorGainProfile:

@@ -37,6 +37,11 @@ ints use Karatsuba):
   and blocks are packed only when a product needs them, which bounds the
   transform's workspace.
 
+The iterates T^j(L) are transforms of a shorter polynomial: L = W R with the
+boundary factor W = z^(q_1 t) (1-z)^(p_1 t), and T^j(L) = W T^j(R) because R
+and its transforms are orthogonal to every polynomial of degree below
+deg W = (p_1 + q_1) t (see :func:`transform_iterates`).
+
 Construction and transforms are exact integer/rational work, safe across
 threads: the transform runs in a decimal context of its own with unbounded
 precision, and neither reads the precision nor changes the state of the
@@ -51,7 +56,7 @@ import random
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_DOWN, Context, Decimal
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import factorial
 from typing import Optional, Sequence
 
@@ -186,20 +191,6 @@ def _legendre_scaled(pairs: Sequence[tuple[int, int]], t: int) -> list[int]:
     return c
 
 
-def apply_dpq(p: int, q: int, P: DensePoly) -> DensePoly:
-    """z^q (1-z)^p D_{p+q}( z^p (1-z)^q P ), exact for rational input."""
-    if p < 0 or q < 0:
-        raise ParamError("p and q must be nonnegative")
-    if P.is_zero():
-        return P
-    den = P.content_denominator()
-    nums = [int(c * den) for c in P.coeffs]
-    out = _dpq_int(p, q, nums)
-    if den == 1:
-        return DensePoly(out)
-    return DensePoly([Fraction(c, den) for c in out])
-
-
 def legendre_poly(params: ParamSet, t: int) -> DensePoly:
     """The multiple Legendre polynomial at scale t; integer coefficients, degree M*t."""
     if t < 1:
@@ -237,6 +228,12 @@ def legendre_reduced(params: ParamSet, t: int) -> DensePoly:
 # transform of 2^15 words of 19 digits, whose workspace in libmpdec is four
 # such arrays, 1 MiB.
 TRANSFORM_DIGIT_BUDGET = 600_000
+
+
+# Digits per int() call when a slot is read back.  Below 640, the smallest
+# int-str digit limit CPython accepts, so no limit applies to the pieces.
+_INT_PIECE = 600
+_INT_PIECE_BASE = 10 ** _INT_PIECE
 
 
 def _slot_digits(bound: int) -> int:
@@ -283,12 +280,15 @@ def _toeplitz_tail(nums: list[int], inv: list[int], block: Optional[int] = None)
     sum; the workspace is bounded by the budget, not by d w.
 
     Operands are packed from decimal digit strings a chunk of slots at a
-    time, and the outputs are read back the same way; no conversion goes
-    through str(int) or int(str), so CPython's int-str digit limit does not
-    apply at any w (the pure-Python ``_pydecimal`` converts ints through
-    str and keeps the limit).  The arithmetic runs in a private context
-    with unbounded precision and exponent, never in the thread's current
-    context, so it is exact and safe to call from several threads at once.
+    time, with the digits from ``Decimal`` rather than str(int), and the
+    outputs are read back as digit strings the same way.  Each slot is
+    int() over pieces of at most _INT_PIECE = 600 digits, combined by
+    Horner's rule; 600 is below 640, the smallest int-str digit limit
+    CPython accepts, so no limit applies at any w (the pure-Python
+    ``_pydecimal`` converts ints through str and keeps the limit).  The
+    arithmetic runs in a private context with unbounded precision and
+    exponent, never in the thread's current context, so it is exact and
+    safe to call from several threads at once.
     """
     d = len(nums) - 1
     if d <= 0:
@@ -305,6 +305,7 @@ def _toeplitz_tail(nums: list[int], inv: list[int], block: Optional[int] = None)
         b = -(-d // n)
     ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, rounding=ROUND_DOWN)
     chunk = max(1, TRANSFORM_DIGIT_BUDGET // (16 * w))  # slots per digit string
+    head = w % _INT_PIECE or _INT_PIECE  # digits in a slot's first piece
 
     def pack(values: list[int], bias: int) -> Decimal:
         """sum_r (values[-1-r] + bias) X^r, Horner over chunks."""
@@ -328,7 +329,11 @@ def _toeplitz_tail(nums: list[int], inv: list[int], block: Optional[int] = None)
             text = format(part, "f").zfill(w * m)
             for u in range(m):  # text piece u is slot r0+m-1-u
                 i = top - r0 - m + 1 + u
-                out[i] = int(Decimal(text[w * u:w * (u + 1)])) - h * prefix[d - i]
+                a = w * u
+                v = int(text[a:a + head])
+                for c0 in range(a + head, a + w, _INT_PIECE):
+                    v = v * _INT_PIECE_BASE + int(text[c0:c0 + _INT_PIECE])
+                out[i] = v - h * prefix[d - i]
 
     out = [0] * d
     acc = Decimal(0)  # the carry into level s, then the level's sum
@@ -366,16 +371,51 @@ def christoffel_transform(P: DensePoly) -> DensePoly:
 
 
 def transform_iterates(params: ParamSet, t: int, L: DensePoly, m: int) -> list[DensePoly]:
-    """[T(L), T^2(L), ..., T^m(L)]; m must respect the monotonicity bound."""
+    """[T(L), T^2(L), ..., T^m(L)] for L = legendre_poly(params, t), computed
+    as T^j(L) = W T^j(R) from the quotient R = L/W of degree (M - H_1) t.
+
+    W = z^(q_1 t) (1-z)^(p_1 t), of degree H_1 t = (p_1 + q_1) t, is the
+    boundary factor that the outermost operator puts around L, so R is the
+    reduced polynomial up to sign.  For any polynomial P,
+
+        T(W P)(z) - W(z) T(P)(z) = integral_0^1 P(y) (W(z) - W(y))/(z - y) dy,
+
+    and the kernel (W(z) - W(y))/(z - y) is a polynomial in y of degree
+    below H_1 t.  R and its first m-1 transforms are orthogonal on [0, 1] to
+    every polynomial of degree below H_1 t: the multiple orthogonality of
+    the forms, under the monotonicity that params.m carries, which
+    :func:`check_orthogonality` verifies on its own.  So the integral
+    vanishes for P = T^(j-1)(R), and T^j(W R) = W T^j(R) follows one iterate
+    at a time.  Each transform then has degree (M - H_1) t instead of M t.
+
+    L must be legendre_poly(params, t): an L of another degree, or one that
+    W does not divide exactly, raises ParamError.  R is L's coefficients
+    without the q_1 t leading zeros, prefix-summed p_1 t times (one prefix
+    sum divides by 1-z); the last p_1 t sums must be zero.  Each T^j(R) is
+    multiplied back by (1-z)^(p_1 t) on its integer numerators and shifted
+    by z^(q_1 t), so the Fractions of T^j(L) are built once.  m must not
+    exceed params.m.
+    """
     if params.m is None or m > params.m:
         raise ParamError("m exceeds the order carried by the parameter set")
     if m < 1:
         raise ParamError("m must be >= 1")
+    if L.degree != params.total_degree * t:
+        raise ParamError(f"L has degree {L.degree}, not M t = {params.total_degree * t}")
+    p, q = params.p[0] * t, params.q[0] * t
+    r = L.coeffs[q:]
+    for _ in range(p):
+        r = list(accumulate(r))
+    if any(L.coeffs[:q]) or any(r[-p:]):
+        raise ParamError(f"L is not divisible by z^{q} (1-z)^{p}, so not legendre_poly")
+    cur = DensePoly(r[:-p])
     out = []
-    cur = L
     for _ in range(m):
         cur = christoffel_transform(cur)
-        out.append(cur)
+        den = cur.content_denominator()
+        nums = [c.numerator * (den // c.denominator) for c in cur.coeffs]
+        nums = _mul_one_minus_z_pow(nums, p)
+        out.append(DensePoly([0] * q + [Fraction(c, den) for c in nums]))
     return out
 
 

@@ -157,7 +157,9 @@ class TestProfile:
 
     def test_json_round_trip(self, example1):
         prof = floor_gain_profile(example1)
-        again = FloorGainProfile.from_json(prof.to_json())
+        rows = json.loads(prof.to_json())
+        again = FloorGainProfile(tuple(Fraction(r["from"]) for r in rows),
+                                 tuple(r["mu"] for r in rows))
         assert again == prof
 
     def test_built_once_per_params(self, monkeypatch):

@@ -6,7 +6,11 @@
   T(z^k) = sum_{i<k} z^i/(k-i) and the direct Toeplitz sum, on both sides
   of the one-product degree set by the digit budget, with n(n+1)/2
   products for n blocks, a short last block, slots wider than CPython's
-  int-str digit limit, and in threads whose decimal context would round;
+  int-str digit limit (the default one and the lowest it accepts), and in
+  threads whose decimal context would round;
+- transform_iterates, which goes through the reduced polynomial, against
+  the plain christoffel_transform chain on L, and its rejection of an L
+  that is not legendre_poly(params, t);
 - frozen SHA-256 digests of large constructions and transforms;
 - the series oracle (Newton differences at negative k) against the
   interpolation route q_to_p(series_k_polynomial(...)).
@@ -15,6 +19,7 @@
 import decimal
 import hashlib
 import random
+import sys
 import threading
 from fractions import Fraction
 
@@ -22,6 +27,7 @@ import pytest
 
 from loglegendre.corpus import oracle_corpus
 from loglegendre import legendre
+from loglegendre.errors import ParamError
 from loglegendre.exact import DensePoly, lcm_upto
 from loglegendre.legendre import (
     ParamSet,
@@ -138,6 +144,21 @@ class TestTransformKernel:
         P = DensePoly([rng.randint(-10**9000, 10**9000) for _ in range(20)] + [10**9000 - 1])
         assert christoffel_transform(P) == transform_by_definition(P)
 
+    def test_slots_beyond_lowest_int_str_limit(self):
+        # slots of about 2050 digits read back under 640, the lowest limit
+        # CPython accepts: every int() piece must stay below it
+        rng = random.Random(49)
+        P = DensePoly([rng.randint(-10**2000, 10**2000) for _ in range(30)] + [10**2000 - 1])
+        inv = [0] + [lcm_upto(30) // j for j in range(1, 31)]
+        assert _slot_digits(2 * 10**2000 * sum(inv)) > 640
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            got = christoffel_transform(P)
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert got == transform_by_definition(P)
+
     def test_all_negative(self):
         rng = random.Random(42)
         for d in (3, 17, 70):
@@ -220,6 +241,47 @@ class TestDecimalContext:
 
     def test_two_threads_at_once(self):
         self.check(2)
+
+
+class TestReducedIterates:
+    """transform_iterates goes through the quotient R = L/W, W the boundary
+    factor z^(q_1 t) (1-z)^(p_1 t); its output must equal the plain chain
+    T(L), T(T(L)), ... of christoffel_transform on L itself."""
+
+    @staticmethod
+    def chain(L, m):
+        out = [christoffel_transform(L)]
+        while len(out) < m:
+            out.append(christoffel_transform(out[-1]))
+        return out
+
+    @pytest.mark.parametrize("name", sorted(preset_catalog()))
+    def test_presets(self, name):
+        params = preset_catalog()[name]
+        for t in (1, 2, 3):
+            L = legendre_poly(params, t)
+            assert transform_iterates(params, t, L, params.m) == self.chain(L, params.m), t
+
+    def test_corpus(self):
+        for params, t in oracle_corpus(seed=303, count=40, max_weight=60, with_m=True):
+            L = legendre_poly(params, t)
+            assert transform_iterates(params, t, L, params.m) == self.chain(L, params.m), \
+                f"p={params.p} q={params.q} t={t}"
+
+    def test_wrong_scale_rejected(self):
+        params = preset_catalog()["log2-m2"]
+        with pytest.raises(ParamError, match="degree"):
+            transform_iterates(params, 3, legendre_poly(params, 4), 2)
+
+    @pytest.mark.parametrize("name, at", [("log2-m1", -1), ("hmv-n2", -1), ("log2-m1", 0)])
+    def test_changed_coefficient_rejected(self, name, at):
+        """A changed top coefficient breaks the division by (1-z)^(p_1 t),
+        and a nonzero constant term the one by z^(q_1 t) (q_1 = 1 here)."""
+        params = preset_catalog()[name]
+        cs = list(legendre_poly(params, 3).coeffs)
+        cs[at] += 1
+        with pytest.raises(ParamError, match="divisible"):
+            transform_iterates(params, 3, DensePoly(cs), 1)
 
 
 class TestFrozenDigests:

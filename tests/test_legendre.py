@@ -10,7 +10,7 @@ from loglegendre.errors import InternalCheckError, ParamError, PrecisionError
 from loglegendre.exact import DensePoly, normalized_derivative
 from loglegendre.legendre import (
     ParamSet,
-    apply_dpq,
+    _dpq_int,
     build_record,
     check_integer_coefficients,
     check_roots_in_unit_interval,
@@ -29,6 +29,11 @@ from loglegendre.measures import preset_catalog
 
 def poly(*cs):
     return DensePoly(cs)
+
+
+def apply_dpq(p, q, P):
+    """z^q (1-z)^p D_{p+q}( z^p (1-z)^q P ) for an integer polynomial P."""
+    return DensePoly(_dpq_int(p, q, list(P.coeffs)))
 
 
 class TestParamSet:
@@ -231,9 +236,10 @@ class TestChristoffel:
 
 
 class TestTransformIterates:
-    def test_constant_collapses(self, example1):
-        out = transform_iterates(example1, 1, poly(5), 1)
-        assert out == [DensePoly()]
+    def test_constant_rejected(self, example1):
+        # only legendre_poly(params, t) is accepted, and a constant is not it
+        with pytest.raises(ParamError):
+            transform_iterates(example1, 1, poly(5), 1)
 
     def test_iterate_chain(self, example2):
         L = legendre_poly(example2, 1)
