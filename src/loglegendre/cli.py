@@ -12,6 +12,7 @@ import concurrent.futures
 import datetime
 import json
 import os
+import random
 import sys
 from fractions import Fraction
 
@@ -187,7 +188,6 @@ def _verify_hyperharmonic(maximum, lines) -> int:
 
 
 def _verify_derivative(count, seed, lines) -> int:
-    import random
     rng = random.Random(seed)
     failures = 0
     for i in range(count):

@@ -20,22 +20,14 @@ Evaluating them therefore needs the cancellation-aware precision policy
 implemented in :func:`legendre_function_value`.
 
 T is a Toeplitz product with the weights lcm(1..d)/j: the low d slots of
-the product of the reversed inputs and the weights, a short product
-computed from Kronecker products in base 10^w by the ``decimal`` module (its
-multiplication is a number-theoretic transform for large operands; CPython
-ints use Karatsuba):
+the product of the reversed inputs and the weights, read from one Kronecker
+product in base 10^w by the ``decimal`` module (its multiplication is a
+number-theoretic transform for large operands; CPython ints use Karatsuba):
 
 - bias: the inputs are shifted by h = max |input| to lie in [0, 2h], and
   h times a prefix sum of the weights is subtracted from each output;
 - slot width: 10^w exceeds 2h times the sum of all weights, which bounds
-  every slot of every partial sum, so the digits of a product are the sums;
-- blocks and levels: both operands are cut into blocks of b slots, n of
-  each; level s adds the s+1 block products that land on its slots to the
-  carry from level s-1, reads out its low b slots and carries the rest, so
-  n(n+1)/2 products of 2b slots make the low d slots.  n is the fewest
-  blocks for which each product stays under TRANSFORM_DIGIT_BUDGET digits,
-  and blocks are packed only when a product needs them, which bounds the
-  transform's workspace.
+  every slot of the product, so its digits are the sums.
 
 The iterates T^j(L) are transforms of a shorter polynomial: L = W R with the
 boundary factor W = z^(q_1 t) (1-z)^(p_1 t), and T^j(L) = W T^j(R) because R
@@ -224,12 +216,6 @@ def legendre_reduced(params: ParamSet, t: int) -> DensePoly:
 # the transform T
 # ---------------------------------------------------------------------------
 
-# Decimal digits of one product in _toeplitz_tail.  600k digits fit a
-# transform of 2^15 words of 19 digits, whose workspace in libmpdec is four
-# such arrays, 1 MiB.
-TRANSFORM_DIGIT_BUDGET = 600_000
-
-
 # Digits per int() call when a slot is read back.  Below 640, the smallest
 # int-str digit limit CPython accepts, so no limit applies to the pieces.
 _INT_PIECE = 600
@@ -241,7 +227,7 @@ def _slot_digits(bound: int) -> int:
     return bound.bit_length() * 30103 // 100000 + 1
 
 
-def _toeplitz_tail(nums: list[int], inv: list[int], block: Optional[int] = None) -> list[int]:
+def _toeplitz_tail(nums: list[int], inv: list[int]) -> list[int]:
     """out[i] = sum_{k>i} nums[k] inv[k-i] for 0 <= i < d = len(nums) - 1,
     where inv has d+1 entries, inv[0] is unused and inv[1..d] are positive.
 
@@ -252,43 +238,33 @@ def _toeplitz_tail(nums: list[int], inv: list[int], block: Optional[int] = None)
         r = sum_{a<d} (nums[d-a] + h) X^a,    v = sum_{c<d} inv[c+1] X^c,
 
     slot d-1-i of r*v is the biased out[i], and only the low d slots of
-    r*v are needed.
+    r*v are read; libmpdec has no short product, so its d-1 high slots are
+    computed and dropped.
 
     Bias: with h = max_{k>=1} |nums[k]|, the inputs nums[k] + h lie in
     [0, 2h], so every slot is a nonnegative integer.  The biased sums
     exceed out[i] by h S(d-i), S(n) = inv[1] + ... + inv[n], which one
     prefix sum removes.
 
-    Blocks and levels: r and v are cut into blocks R_0, R_1, ... and
-    V_0, V_1, ... of b slots (the last one may be shorter), n = ceil(d/b)
-    of each.  R_i V_j lands on slots from (i+j) b up, so level s = i + j
-    is complete once its s+1 products are added to the carry, the high
-    slots of level s-1.  Its low b slots are then final outputs, and the
-    rest is the carry into level s+1.  That is n(n+1)/2 products of at
-    most 2b slots.  n is the fewest blocks for which 2b slots of w digits
-    fit TRANSFORM_DIGIT_BUDGET (n = 1, b = d, one product, when 2d slots
-    fit), and b = ceil(d/n) evens the blocks out, which keeps n and makes
-    the products smaller.  `block` sets b.
+    Slot width: a slot of r*v adds, for distinct c, at most 2h inv[c+1],
+    so every slot is at most 2h S(d) < 10^w, and no slot carries into the
+    next.
 
-    Slot width: every slot of every partial sum, carry included, is a sum
-    of nonnegative terms of one slot of r*v, and a slot of r*v adds, for
-    distinct c, at most 2h inv[c+1].  So every slot is at most
-    2h S(d) < 10^w, and no slot carries into the next.
+    Memory: the digit strings and r, v and r*v are O(d w); the measured
+    peak (tracemalloc) is about 5 bytes per digit of d w, 2.0 MB for
+    log2-m2 at t = 24 (d = 528, w = 699) and 10.5 MB for log2-m1 at
+    t = 128 (d = 1280, w = 1626).
 
-    Memory: a block is packed when a product needs it and dropped after
-    it, so at most two packed blocks are alive at once, besides the level
-    sum; the workspace is bounded by the budget, not by d w.
-
-    Operands are packed from decimal digit strings a chunk of slots at a
-    time, with the digits from ``Decimal`` rather than str(int), and the
-    outputs are read back as digit strings the same way.  Each slot is
-    int() over pieces of at most _INT_PIECE = 600 digits, combined by
-    Horner's rule; 600 is below 640, the smallest int-str digit limit
-    CPython accepts, so no limit applies at any w (the pure-Python
-    ``_pydecimal`` converts ints through str and keeps the limit).  The
-    arithmetic runs in a private context with unbounded precision and
-    exponent, never in the thread's current context, so it is exact and
-    safe to call from several threads at once.
+    Operands are packed from one decimal digit string each, with the
+    digits from ``Decimal`` rather than str(int), and the low slots are
+    read back as one digit string the same way.  Each slot is int() over
+    pieces of at most _INT_PIECE = 600 digits, combined by Horner's rule;
+    600 is below 640, the smallest int-str digit limit CPython accepts, so
+    no limit applies at any w (the pure-Python ``_pydecimal`` converts ints
+    through str and keeps the limit).  The arithmetic runs in a private
+    context with unbounded precision and exponent, never in the thread's
+    current context, so it is exact and safe to call from several threads
+    at once.
     """
     d = len(nums) - 1
     if d <= 0:
@@ -298,56 +274,20 @@ def _toeplitz_tail(nums: list[int], inv: list[int], block: Optional[int] = None)
     for j in range(1, d + 1):
         prefix[j] = prefix[j - 1] + inv[j]
     w = _slot_digits(2 * h * prefix[d])
-    if block:
-        b = min(block, d)
-    else:  # the fewest blocks whose products fit, as even as they can be
-        n = -(-d // max(1, TRANSFORM_DIGIT_BUDGET // (2 * w)))
-        b = -(-d // n)
     ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, rounding=ROUND_DOWN)
-    chunk = max(1, TRANSFORM_DIGIT_BUDGET // (16 * w))  # slots per digit string
+    r = Decimal("".join([decimal_digits(x + h).zfill(w) for x in nums[1:]]))  # slot a: nums[d-a]
+    v = Decimal("".join([decimal_digits(x).zfill(w) for x in inv[d:0:-1]]))   # slot c: inv[c+1]
+    rv = ctx.multiply(r, v)
+    high = ctx.to_integral_value(ctx.scaleb(rv, -w * d))
+    text = format(ctx.subtract(rv, ctx.scaleb(high, w * d)), "f").zfill(w * d)
     head = w % _INT_PIECE or _INT_PIECE  # digits in a slot's first piece
-
-    def pack(values: list[int], bias: int) -> Decimal:
-        """sum_r (values[-1-r] + bias) X^r, Horner over chunks."""
-        x = Decimal(0)
-        for c0 in range(0, len(values), chunk):
-            part = values[c0:c0 + chunk]
-            text = "".join([decimal_digits(v + bias).zfill(w) for v in part])
-            x = ctx.add(ctx.scaleb(x, w * len(part)), Decimal(text))
-        return x
-
-    def split(x: Decimal, n: int) -> tuple[Decimal, Decimal]:
-        """The low n slots of x >= 0, and the rest shifted down to slot 0."""
-        rest = ctx.to_integral_value(ctx.scaleb(x, -w * n))
-        return ctx.subtract(x, ctx.scaleb(rest, w * n)), rest
-
-    def read(x: Decimal, top: int, nb: int) -> None:
-        """Set out[top - r], unbiased, from slot r of x for r < nb."""
-        for r0 in range(0, nb, chunk):
-            m = min(chunk, nb - r0)
-            part, x = split(x, m)
-            text = format(part, "f").zfill(w * m)
-            for u in range(m):  # text piece u is slot r0+m-1-u
-                i = top - r0 - m + 1 + u
-                a = w * u
-                v = int(text[a:a + head])
-                for c0 in range(a + head, a + w, _INT_PIECE):
-                    v = v * _INT_PIECE_BASE + int(text[c0:c0 + _INT_PIECE])
-                out[i] = v - h * prefix[d - i]
-
     out = [0] * d
-    acc = Decimal(0)  # the carry into level s, then the level's sum
-    for s in range(-(-d // b)):
-        for i in range(s + 1):
-            a0, c0 = i * b, (s - i) * b
-            ra = pack(nums[max(1, d - a0 - b + 1):d - a0 + 1], h)  # slot a: nums[d-a]
-            vc = pack(inv[min(d, c0 + b):c0:-1], 0)                # slot c: inv[c+1]
-            acc = ctx.add(acc, ctx.multiply(ra, vc))
-            del ra, vc  # at most two packed blocks alive
-        nb = min(b, d - s * b)
-        low, acc = split(acc, nb)
-        read(low, d - 1 - s * b, nb)
-        del low  # freed before the next level's products
+    for i in range(d):  # text piece i is slot d-1-i
+        a = w * i
+        x = int(text[a:a + head])
+        for c0 in range(a + head, a + w, _INT_PIECE):
+            x = x * _INT_PIECE_BASE + int(text[c0:c0 + _INT_PIECE])
+        out[i] = x - h * prefix[d - i]
     return out
 
 

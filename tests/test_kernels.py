@@ -1,13 +1,13 @@
 """The integer kernels of the exact path against independent references.
 
 - multiplication by (1-z)^k (difference passes) against DensePoly products;
-- the transform T (a short product of Kronecker-packed blocks in decimal,
-  one level of block products at a time) against a Fraction evaluation of
-  T(z^k) = sum_{i<k} z^i/(k-i) and the direct Toeplitz sum, on both sides
-  of the one-product degree set by the digit budget, with n(n+1)/2
-  products for n blocks, a short last block, slots wider than CPython's
-  int-str digit limit (the default one and the lowest it accepts), and in
-  threads whose decimal context would round;
+- the transform T (the low slots of one Kronecker product in decimal)
+  against a Fraction evaluation of T(z^k) = sum_{i<k} z^i/(k-i) and the
+  direct Toeplitz sum, from degree 0 to 400 and up to a product of over a
+  million digits, with exactly one decimal multiply per call, slots wider
+  than CPython's int-str digit limit (the default one and the lowest it
+  accepts) or made of whole 600-digit pieces, and in threads whose decimal
+  context would round;
 - transform_iterates, which goes through the reduced polynomial, against
   the plain christoffel_transform chain on L, and its rejection of an L
   that is not legendre_poly(params, t);
@@ -98,44 +98,40 @@ class TestTransformKernel:
         monkeypatch.setattr(legendre, "Context", Recording)
         return sizes
 
+    @staticmethod
+    def direct(nums, inv):
+        """The Toeplitz sums out[i] = sum_{k>i} nums[k] inv[k-i], term by term."""
+        d = len(nums) - 1
+        return [sum(nums[k] * inv[k - i] for k in range(i + 1, d + 1)) for i in range(d)]
+
     @pytest.mark.parametrize("d", [255, 256, 257, 258, 400])
     def test_block_boundary(self, d, monkeypatch):
-        """A digit budget whose last one-product degree is 256 (2 d w
-        digits); larger d are cut into the n blocks that products of 2b
-        slots under it need, n(n+1)/2 products, and no product exceeds it."""
-        def instance(n):
-            rng = random.Random(n)
-            P = DensePoly([rng.randint(-10**6, 10**6) for _ in range(n)] + [-10**6])
-            inv = [0] + [lcm_upto(n) // j for j in range(1, n + 1)]
-            return P, _slot_digits(2 * 10**6 * sum(inv))
-
+        """Degrees 255-258 and 400 with 7-digit coefficients against the
+        definition, in one product."""
+        rng = random.Random(d)
+        P = DensePoly([rng.randint(-10**6, 10**6) for _ in range(d)] + [-10**6])
         sizes = self.record_products(monkeypatch)
-        budget = 2 * 256 * instance(256)[1]
-        monkeypatch.setattr(legendre, "TRANSFORM_DIGIT_BUDGET", budget)
-        P, w = instance(d)
-        assert (2 * d * w <= budget) == (d <= 256)
         assert christoffel_transform(P) == transform_by_definition(P)
-        assert max(a + b for a, b in sizes) <= budget
-        assert (len(sizes) == 1) == (d <= 256)
-        n = -(-d // (budget // (2 * w)))
-        assert len(sizes) == n * (n + 1) // 2
+        assert len(sizes) == 1
 
-    @pytest.mark.parametrize("d, n", [(50, 3), (97, 4), (121, 5)])
-    def test_levels_with_short_last_block(self, d, n, monkeypatch):
-        """A budget of exactly 2b slots cuts d into n blocks, the last one
-        short: n(n+1)/2 products, each of two operands of at most b slots."""
+    @pytest.mark.parametrize("d", [50, 97, 121])
+    def test_forty_digit_values(self, d, monkeypatch):
         rng = random.Random(d)
         nums = [rng.randint(-10**40, 10**40) for _ in range(d + 1)]
         inv = [0] + [rng.randint(1, 10**8) for _ in range(d)]
-        w = _slot_digits(2 * max(map(abs, nums[1:])) * sum(inv))
-        b = -(-d // n)
-        assert d % b and -(-d // b) == n
         sizes = self.record_products(monkeypatch)
-        monkeypatch.setattr(legendre, "TRANSFORM_DIGIT_BUDGET", 2 * b * w)
-        want = [sum(nums[k] * inv[k - i] for k in range(i + 1, d + 1)) for i in range(d)]
-        assert _toeplitz_tail(nums, inv) == want
-        assert len(sizes) == n * (n + 1) // 2
-        assert max(max(pair) for pair in sizes) <= b * w
+        assert _toeplitz_tail(nums, inv) == self.direct(nums, inv)
+        assert len(sizes) == 1
+
+    def test_product_over_a_million_digits(self, monkeypatch):
+        """d = 300 with 2000-digit values: slots of about 2130 digits, and
+        one product of two operands of about 640k digits each."""
+        rng = random.Random(300)
+        nums = [rng.randint(-10**2000, 10**2000) for _ in range(301)]
+        inv = [0] + [lcm_upto(300) // j for j in range(1, 301)]
+        sizes = self.record_products(monkeypatch)
+        assert _toeplitz_tail(nums, inv) == self.direct(nums, inv)
+        assert len(sizes) == 1 and sum(sizes[0]) > 10**6
 
     def test_slots_beyond_int_str_limit(self):
         # 9000-digit coefficients make slots of about 9050 digits; the
@@ -158,6 +154,17 @@ class TestTransformKernel:
         finally:
             sys.set_int_max_str_digits(old)
         assert got == transform_by_definition(P)
+
+    @pytest.mark.parametrize("w", [600, 1200])
+    def test_slots_of_whole_pieces(self, w):
+        """Slot widths that are multiples of the 600-digit int() piece, so
+        the first piece of a slot is a whole one."""
+        rng = random.Random(w)
+        inv = [0] + [rng.randint(1, 10**6) for _ in range(30)]
+        h = 10**w // (20 * sum(inv))
+        nums = [rng.randint(-h, h) for _ in range(30)] + [h]
+        assert _slot_digits(2 * h * sum(inv)) == w
+        assert _toeplitz_tail(nums, inv) == self.direct(nums, inv)
 
     def test_all_negative(self):
         rng = random.Random(42)
@@ -185,15 +192,19 @@ class TestTransformKernel:
                            for _ in range(d)] + [Fraction(rng.randint(1, 99), rng.randint(1, 60))])
             assert christoffel_transform(P) == transform_by_definition(P)
 
-    @pytest.mark.parametrize("block", range(1, 9))
-    def test_small_blocks(self, block):
-        rng = random.Random(block)
-        for d in (1, 2, block, block + 1, 3 * block + 2, 25):
+    @pytest.mark.parametrize("b", range(1, 9))
+    def test_small_blocks(self, b, monkeypatch):
+        """Degrees 1, 2, b, b+1, 3b+2 and 25 against the direct sum, one
+        product per call."""
+        rng = random.Random(b)
+        sizes = self.record_products(monkeypatch)
+        degrees = (1, 2, b, b + 1, 3 * b + 2, 25)
+        for d in degrees:
             nums = [rng.randint(-10**9, 10**9) for _ in range(d + 1)]
             inv = [0] + [rng.randint(1, 10**6) for _ in range(d)]
             inv[1] = 10**6  # the largest entry, as lcm(1..d)/j gives
-            want = [sum(nums[k] * inv[k - i] for k in range(i + 1, d + 1)) for i in range(d)]
-            assert _toeplitz_tail(nums, inv, block) == want
+            assert _toeplitz_tail(nums, inv) == self.direct(nums, inv)
+        assert len(sizes) == len(degrees)
 
 
 class TestDecimalContext:
@@ -215,13 +226,13 @@ class TestDecimalContext:
         ctx = decimal.Context(prec=5, traps=[decimal.Inexact, decimal.Rounded])
         decimal.setcontext(ctx)
         before = (ctx.prec, dict(ctx.flags), dict(ctx.traps))
-        out = (christoffel_transform(L), _toeplitz_tail(nums, inv, 7))
+        out = (christoffel_transform(L), _toeplitz_tail(nums, inv))
         after = (ctx.prec, dict(ctx.flags), dict(ctx.traps))
         results[key] = (out, before, after, decimal.getcontext() is ctx)
 
     def check(self, n_threads):
         L, nums, inv = self.instance()
-        want = (christoffel_transform(L), _toeplitz_tail(nums, inv, 7))
+        want = (christoffel_transform(L), _toeplitz_tail(nums, inv))
         results = {}
         threads = [threading.Thread(target=self.run, args=(L, nums, inv, results, k))
                    for k in range(n_threads)]
