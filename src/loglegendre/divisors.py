@@ -7,15 +7,17 @@ prime-power divisor
     Delta_t = prod_{s prime, s^2 > N_1 t} s^mu({t/s}),
 
 where mu(omega) is the largest gain the floor sums sum_j [(p_j + q_j) omega]
-can make when the q's are permuted against the p's.  mu is a step function
+can make when the q's are permuted against the p's, an assignment problem
+solved by a dynamic program over subsets of columns.  mu is a step function
 with rational breakpoints, and (1/t) log Delta_t converges to a digamma
 expression over those breakpoints.  Everything here is exact except the
 digamma evaluations, which carry explicit precision.
 
 All results are deterministic.  The exact integer/rational layer is safe to
-use from threads.  Digamma is a finite sum by Gauss's theorem, over
-per-denominator tables kept in a bounded cache (built on first use, never at
-import); the tables are immutable, but the floating-point library's precision
+use from threads.  Digamma is a finite sum by Gauss's theorem, taken exactly
+over per-denominator integer tables (fixed point, read off the powers of
+e^(i pi/m)) kept in a bounded cache, built on first use, never at import;
+the tables are immutable, but the floating-point library's precision
 context is process-global, so run parallel numeric work in separate
 processes (as the CLI does), not threads.
 """
@@ -27,7 +29,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import isqrt, log
 from typing import Sequence
 
@@ -37,7 +38,9 @@ from .errors import ParamError
 from .exact import DensePoly, lcm_clearing_multiplier, primes_in_range
 from .legendre import ParamSet
 
-MAX_BRUTE_FORCE_N = 9  # 9! permutations is the largest sane exhaustive search
+# floor_gain accepts n <= 9: its subset search costs n 2^n steps per omega,
+# and a profile runs it at every candidate breakpoint
+MAX_BRUTE_FORCE_N = 9
 
 
 # ---------------------------------------------------------------------------
@@ -65,17 +68,31 @@ def exponent_profile(params: ParamSet) -> ExponentProfile:
 # ---------------------------------------------------------------------------
 
 def floor_gain(params: ParamSet, omega: Fraction) -> int:
-    """max over permutations of sum_j ([(p_j + q_sigma(j)) w] - [(p_j + q_j) w])."""
+    """max over permutations sigma of sum_j ([(p_j + q_sigma(j)) w] - [(p_j + q_j) w]).
+
+    The maximum is an assignment of columns q_k to rows p_j, found by a
+    dynamic program over subsets of columns in O(n 2^n): after row j, best
+    maps each set of j + 1 used columns to the largest floor sum of rows
+    0..j over them.
+    """
     omega = Fraction(omega)
     if not 0 <= omega < 1:
         raise ParamError("omega must lie in [0, 1)")
     n = params.n
     if n > MAX_BRUTE_FORCE_N:
-        raise ParamError(f"floor_gain brute force is capped at n <= {MAX_BRUTE_FORCE_N}")
+        raise ParamError(f"floor_gain is capped at n <= {MAX_BRUTE_FORCE_N}")
     num, den = omega.numerator, omega.denominator
     floors = [[(pj + qk) * num // den for qk in params.q] for pj in params.p]
-    best = max(sum(map(list.__getitem__, floors, sigma)) for sigma in permutations(range(n)))
-    return best - sum(floors[j][j] for j in range(n))
+    best = {0: 0}
+    for row in floors:
+        nxt = {}
+        for used, total in best.items():
+            for k, f in enumerate(row):
+                bit = 1 << k
+                if not used & bit and nxt.get(used | bit, -1) < total + f:
+                    nxt[used | bit] = total + f
+        best = nxt
+    return best[(1 << n) - 1] - sum(floors[j][j] for j in range(n))
 
 
 @dataclass(frozen=True)
@@ -168,14 +185,36 @@ def log_guaranteed_divisor(params: ParamSet, t: int) -> float:
 
 @lru_cache(maxsize=64)
 def _gauss_tables(m: int, work: int) -> tuple:
-    """The numerator-free parts of Gauss's theorem for denominator m at
-    `work` bits: -gamma - log(2m), cos(2 pi j/m) for 0 <= j <= m/2, and
-    log sin(pi n/m) for 1 <= n <= (m-1)/2.  Built on first use."""
+    """The numerator-free parts of Gauss's theorem for a denominator m >= 2,
+    each as an integer: the value times 2^work, truncated.  Built on first use.
+
+    Returns (base, cosines, logsines, cotangents): base = -gamma - log(2m),
+    cosines[j] = cos(2 pi j/m) for 0 <= j <= m/2, and logsines[k-1] =
+    log sin(pi k/m), cotangents[k-1] = (pi/2) cot(pi k/m) for
+    1 <= k <= (m-1)/2.  The circular values are read off the powers zeta^k,
+    k <= m/2, of zeta = e^(i pi/m) (one expjpi, then products), as
+    cos(pi k/m) = Re zeta^k and sin(pi k/m) = Im zeta^k, with
+    cos(pi k/m) = -cos(pi (m-k)/m) for m/2 < k <= m.  The powers are
+    dropped once the tables are read.
+    """
+    half = m // 2
     with mp.workprec(work):
-        base = -mp.euler - mp.log(2 * m)
-        cosines = tuple(mp.cospi(mp.mpf(2 * j) / m) for j in range(m // 2 + 1))
-        logsines = tuple(mp.log(mp.sinpi(mp.mpf(n) / m)) for n in range(1, (m - 1) // 2 + 1))
-    return base, cosines, logsines
+        zeta = mp.expjpi(mp.mpf(1) / m)
+        powers = [mp.mpc(1)]
+        for _ in range(half):
+            powers.append(powers[-1] * zeta)
+
+        def fixed(x) -> int:
+            return int(mp.ldexp(x, work))
+
+        base = fixed(-mp.euler - mp.log(2 * m))
+        cosines = tuple(fixed(powers[2 * j].real) if 2 * j <= half
+                        else -fixed(powers[m - 2 * j].real) for j in range(half + 1))
+        below_half = range(1, (m - 1) // 2 + 1)
+        logsines = tuple(fixed(mp.log(powers[k].imag)) for k in below_half)
+        cotangents = tuple(fixed(mp.pi / 2 * powers[k].real / powers[k].imag)
+                           for k in below_half)
+    return base, cosines, logsines, cotangents
 
 
 def digamma(x: Fraction, precision: int) -> mp.mpf:
@@ -186,13 +225,21 @@ def digamma(x: Fraction, precision: int) -> mp.mpf:
     0 < r < m Gauss's digamma theorem (DLMF §5.4(iii)) gives the finite sum
 
         psi(r/m) = -gamma - log(2m) - (pi/2) cot(pi r/m)
-                   + 2 sum_{n=1}^{floor((m-1)/2)} cos(2 pi n r/m) log sin(pi n/m).
+                   + 2 sum_{n=1}^{floor((m-1)/2)} cos(2 pi n r/m) log sin(pi n/m),
 
-    Error budget: everything runs at work = precision + 16 + bitlen(m) bits.
-    There are about m roundings, each below 2^-work times a partial sum of
-    size at most m log m, and the rounded arguments of cot and log sin are
-    amplified by at most m^2; so the absolute error stays below
-    m^2 (1 + log m) 2^-work, which is under 2^-precision for m < 2^12.
+    summed exactly over the integer tables of :func:`_gauss_tables`.
+
+    Error budget, for every m: with b = bitlen(m) and u = 2^-work, where
+    work = precision + 8 + 3b.  zeta carries an error of at most 2u, and
+    each of the k <= m/2 complex products adds at most 3u, so every power
+    is off by at most 2^(b+2) u, and truncation to the integer scale adds u.
+    Since sin(pi n/m) >= 2/m, log sin is off by at most 2^(2b+2) u, and
+    (pi/2) cot = (pi/2) cos/sin by at most 2^(3b+3) u.  Each of the
+    m - 1 < 2^b weighted terms of 2 sum cos log sin, where |log sin| < b,
+    is off by at most 2^(2b+3) u, the sum by at most 2^(3b+3) u.  The
+    roundings of base, result and rational shift add their sizes times u,
+    at most 2^(b+3) u for 0 < x <= 1 (for larger x the shift's rounding is
+    relative), so the total stays below 2^(3b+5) u = 2^-(precision + 3).
     """
     x = Fraction(x)
     if x <= 0:
@@ -202,17 +249,21 @@ def digamma(x: Fraction, precision: int) -> mp.mpf:
     if r == 0:
         k, r = k - 1, 1  # m == 1: psi(k) = psi(1) + H_{k-1}
     shift = sum((Fraction(m, r + i * m) for i in range(k)), Fraction(0))
-    work = precision + 16 + m.bit_length()
+    work = precision + 8 + 3 * m.bit_length()
     with mp.workprec(work):
         if m == 1:
             result = -mp.euler
         else:
-            base, cosines, logsines = _gauss_tables(m, work)
-            acc = mp.mpf(0)
-            for n, logsine in enumerate(logsines, start=1):
-                j = n * r % m
+            base, cosines, logsines, cotangents = _gauss_tables(m, work)
+            acc, j = 0, 0
+            for logsine in logsines:
+                j = (j + r) % m  # n r mod m
                 acc += cosines[min(j, m - j)] * logsine
-            result = base - mp.pi / 2 * mp.cot(mp.pi * r / m) + 2 * acc
+            if 2 * r == m:
+                cot = 0  # (pi/2) cot(pi r/m), odd about r = m/2
+            else:
+                cot = cotangents[r - 1] if 2 * r < m else -cotangents[m - r - 1]
+            result = mp.mpf((((base - cot) << work) + 2 * acc, -2 * work))
         return +(result + mp.mpf(shift.numerator) / shift.denominator)
 
 

@@ -63,6 +63,7 @@ class MeasureReport:
             "log_v_capped": s(self.log_v_capped),
             "log_threshold": s(self.log_threshold),
             "log_abs_values": [s(x) for x in self.spectral.log_abs_values],
+            "log2_root_radius": mp.nstr(self.spectral.log2_root_radius, 6),
             "growth_rate": s(self.growth_rate),
             "decay_rate": s(self.decay_rate),
             "poly_exponent": s(self.poly_exponent),

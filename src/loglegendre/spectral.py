@@ -5,8 +5,13 @@ whose limiting characteristic roots are the values
 
     v_h = prod_j (y_h - q_j)^{q_j} (y_h + p_j)^{p_j} / (p_j + q_j)^{p_j+q_j},
 
-where the y_h solve zeta prod(y + p_j) = (zeta - 1) prod(y - q_j).  Growth
-rates of solution sequences are read off with a windowed-max slope fit.
+where the y_h solve zeta prod(y + p_j) = (zeta - 1) prod(y - q_j).  mpmath's
+polyroots locates them at 53 bits; Newton's method on the exact integer
+coefficients then refines each one, doubling the precision, until the disk
+of radius n |f(y)/f'(y)| about it, which contains a root, is below
+2^-(precision + 23); the disks must be pairwise disjoint, and the largest
+radius is reported.  Growth rates of solution sequences are read off with a
+windowed-max slope fit.
 
 For small instances an annihilating coefficient vector witnesses the
 recurrence directly.  It is found modulo a fixed sequence of 128-bit primes
@@ -59,6 +64,8 @@ class SpectralData:
     log_v_capped: Optional[mp.mpf]   # log W = log max{|v_h| : |v_h| <= threshold}
     log_threshold: Optional[mp.mpf]  # log of the admissible-size threshold
     precision: int
+    # log2 of the largest root inclusion radius n |f(y_h) / f'(y_h)|
+    log2_root_radius: Optional[mp.mpf] = None
 
     def to_json(self) -> str:
         dps = max(6, int(self.precision * 0.3010)) + 2
@@ -66,14 +73,18 @@ class SpectralData:
         def c2s(c):
             return {"re": mp.nstr(mp.re(c), dps), "im": mp.nstr(mp.im(c), dps)}
 
+        def opt(x, digits=dps):
+            return mp.nstr(x, digits) if x is not None else None
+
         payload = {
             "precision_bits": self.precision,
             "roots": [c2s(y) for y in self.roots],
             "values": [c2s(v) for v in self.values],
             "log_abs_values": [mp.nstr(x, dps) for x in self.log_abs_values],
-            "log_v_max": mp.nstr(self.log_v_max, dps) if self.log_v_max is not None else None,
-            "log_v_capped": mp.nstr(self.log_v_capped, dps) if self.log_v_capped is not None else None,
-            "log_threshold": mp.nstr(self.log_threshold, dps) if self.log_threshold is not None else None,
+            "log_v_max": opt(self.log_v_max),
+            "log_v_capped": opt(self.log_v_capped),
+            "log_threshold": opt(self.log_threshold),
+            "log2_root_radius": opt(self.log2_root_radius, 6),
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -87,35 +98,88 @@ def _char_value_at(params: ParamSet, y, work: int):
         return +v
 
 
+NEWTON_EXTRA_STEPS = 3  # full-precision steps allowed after the ladder
+
+
+def _newton_root(coeffs: list[int], y, precision: int):
+    """Refine the root near y of the integer polynomial sum coeffs[k] y^k.
+
+    Newton's method runs on a precision ladder that doubles up to
+    work = precision + 64 bits.  A root is accepted at the first point y
+    with n |f(y)/f'(y)| < 2^-(precision + 23) max(1, |y|), evaluated at work
+    bits; returns (y, that radius), and the disk of that radius about y
+    contains a root of f.  PrecisionError when the rule still fails after
+    the ladder and NEWTON_EXTRA_STEPS more steps, or f'(y) vanishes.
+    """
+    n = len(coeffs) - 1
+    work = precision + 64
+    ladder = [work]
+    while ladder[-1] > 106:
+        ladder.append(ladder[-1] // 2 + 4)
+    ladder = ladder[::-1] + [work] * NEWTON_EXTRA_STEPS
+    tol = mp.mpf(2) ** -(precision + 23)
+    for w in ladder:
+        with mp.workprec(w):
+            f, df = mp.mpc(coeffs[n]), mp.mpc(0)
+            for c in reversed(coeffs[:n]):
+                df = df * y + f
+                f = f * y + c
+            if df == 0:
+                break
+            step = f / df
+            if w == work:
+                radius = n * abs(step)
+                if radius < tol * max(1, abs(y)):
+                    return y, radius
+            y = y - step
+    raise PrecisionError(f"Newton refinement of the root near {mp.nstr(y, 8)} "
+                         f"did not reach 2^-{precision + 23}")
+
+
 def characteristic_roots(params: ParamSet, precision: int = 512) -> SpectralData:
     """All n roots and their values v_h, ordered by descending |v_h| (ties by
     argument); the values are those :func:`char_values` reads.
 
-    mpmath's Durand-Kerner iteration (`polyroots`) refines them together at
-    precision + 64 bits and stops once every root's last step is below
-    2^-(precision + 23); PrecisionError if that takes more than 200 steps.
-    The roots come back as mpc values rounded to precision + 24 bits, and
-    the values are computed at precision + 64 bits.
+    mpmath's Durand-Kerner iteration (`polyroots`) only locates the roots,
+    at 53 bits.  Each root is then refined on its own by Newton's method on
+    the exact integer multiple of the characteristic polynomial
+    (:func:`_newton_root`), and comes back as the centre of a disk of radius
+    n |f(y)/f'(y)| < 2^-(precision + 23) max(1, |y|) that contains a root.
+    The n disks must be pairwise disjoint, so that they hold n distinct
+    roots, which are all of them.  PrecisionError if the locator does not
+    converge, a root misses the radius rule, or two disks meet.  The values
+    are computed at precision + 64 bits.
     """
-    coeffs = list(reversed(characteristic_polynomial(params).coeffs))
+    poly = characteristic_polynomial(params)
+    den = poly.content_denominator()
+    coeffs = [int(c * den) for c in poly.coeffs]
     try:
-        with mp.workprec(precision + 24):
-            roots = mp.polyroots(coeffs, maxsteps=200, cleanup=False, extraprec=40)
+        with mp.workprec(53):
+            starts = mp.polyroots(coeffs[::-1], maxsteps=200, cleanup=True, extraprec=10)
     except mp.mp.NoConvergence as exc:
-        raise PrecisionError(f"root refinement did not converge: {exc}") from exc
+        raise PrecisionError(f"root location did not converge: {exc}") from exc
+    refined = [_newton_root(coeffs, mp.mpc(y), precision) for y in starts]
     work = precision + 64
     with mp.workprec(work):
-        # deterministic ordering by the companion values
-        decorated = sorted(((y, _char_value_at(params, y, work)) for y in roots),
-                           key=lambda yv: (-abs(yv[1]), mp.arg(yv[1])))
-        roots = tuple(y for y, _ in decorated)
-        sep = min((abs(a - b) for i, a in enumerate(roots)
-                   for b in roots[i + 1:]), default=mp.mpf("inf"))
+        sep = mp.mpf("inf")
+        for i, (a, ra) in enumerate(refined):
+            for b, rb in refined[i + 1:]:
+                gap = abs(a - b)
+                if gap <= ra + rb:
+                    raise PrecisionError("root inclusion disks overlap")
+                sep = min(sep, gap)
         if sep < mp.mpf(2) ** (-(precision // 4)):
             warnings.warn("nearly multiple characteristic roots; results may lose accuracy")
-    return SpectralData(roots=roots, values=tuple(v for _, v in decorated),
+        radius = max(r for _, r in refined)
+        log2_radius = mp.log(radius, 2) if radius else mp.ninf
+        # deterministic ordering by the companion values
+        decorated = sorted(((y, _char_value_at(params, y, work)) for y, _ in refined),
+                           key=lambda yv: (-abs(yv[1]), mp.arg(yv[1])))
+    return SpectralData(roots=tuple(y for y, _ in decorated),
+                        values=tuple(v for _, v in decorated),
                         log_abs_values=(), log_v_max=None, log_v_capped=None,
-                        log_threshold=None, precision=precision)
+                        log_threshold=None, precision=precision,
+                        log2_root_radius=+log2_radius)
 
 
 def _log_threshold(params: ParamSet, work: int) -> mp.mpf:
@@ -166,6 +230,7 @@ def char_values(params: ParamSet, spectral: SpectralData) -> SpectralData:
             log_v_capped=+max(below),
             log_threshold=+log_thr,
             precision=precision,
+            log2_root_radius=spectral.log2_root_radius,
         )
 
 

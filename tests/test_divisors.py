@@ -10,6 +10,7 @@ import pytest
 
 from loglegendre.corpus import oracle_corpus
 from loglegendre.divisors import (
+    _gauss_tables,
     digamma,
     divisor_rate,
     exponent_profile,
@@ -46,9 +47,11 @@ def preset_breakpoints() -> list[Fraction]:
 
 
 def floor_gain_by_definition(params, omega: Fraction) -> int:
+    """The largest gain over all n! permutations, tried one by one."""
     n = params.n
-    diag = sum(math.floor((params.p[j] + params.q[j]) * omega) for j in range(n))
-    return max(sum(math.floor((params.p[j] + params.q[s[j]]) * omega) for j in range(n))
+    floors = [[math.floor((p + q) * omega) for q in params.q] for p in params.p]
+    diag = sum(floors[j][j] for j in range(n))
+    return max(sum(map(list.__getitem__, floors, s))
                for s in itertools.permutations(range(n))) - diag
 
 
@@ -103,6 +106,18 @@ class TestFloorGain:
             for omega in sorted(omegas):
                 assert floor_gain(params, omega) == floor_gain_by_definition(params, omega), \
                     f"p={params.p} q={params.q} omega={omega}"
+
+    @pytest.mark.parametrize("n, omegas", [(6, 8), (7, 6), (8, 3), (9, 1)])
+    def test_against_definition_large_n(self, n, omegas):
+        rng = random.Random(600 + n)
+        params = ParamSet(p=tuple(rng.randint(1, 40) for _ in range(n)),
+                          q=tuple(rng.randint(0, 40) for _ in range(n)),
+                          z=Fraction(-1))
+        for _ in range(omegas):
+            d = rng.randint(2, 97)
+            omega = Fraction(rng.randint(1, d - 1), d)
+            assert floor_gain(params, omega) == floor_gain_by_definition(params, omega), \
+                f"p={params.p} q={params.q} omega={omega}"
 
     def test_brute_force_cap(self):
         params = ParamSet(p=(1,) * 10, q=(0,) * 10, z=Fraction(-1))
@@ -258,9 +273,37 @@ class TestDigamma:
         extra = [Fraction(1), Fraction(7), Fraction(5, 2), Fraction(61, 43)]
         self.assert_matches_mpmath(sorted(largest.values()) + extra, 4096)
 
+    def test_denominator_above_4096(self):
+        # the guard bits grow with bitlen(m), so the budget still holds where
+        # cot(pi/m) is about m/pi and the sine tables are about 2^12 powers long
+        m = 4099
+        self.assert_matches_mpmath([Fraction(r, m) for r in (1, 2, 2049, 4098)], 128)
+
     def test_domain(self):
         with pytest.raises(ParamError):
             digamma(Fraction(0), 64)
+
+
+class TestGaussTables:
+    @pytest.mark.parametrize("m", [2, 3, 7, 41, 97])
+    def test_against_mpmath(self, m):
+        work = 512
+        base, cosines, logsines, cotangents = _gauss_tables(m, work)
+        b = m.bit_length()
+        assert len(cosines) == m // 2 + 1
+        assert len(logsines) == len(cotangents) == (m - 1) // 2
+        with mp.workprec(work + 64):
+            unit = mp.mpf(2) ** -work
+
+            def off(entry, want):
+                return abs(mp.mpf(entry) * unit - want) / unit
+
+            assert off(base, -mp.euler - mp.log(2 * m)) < 2 ** (b + 2)
+            for j, c in enumerate(cosines):
+                assert off(c, mp.cospi(mp.mpf(2 * j) / m)) < 2 ** (b + 3), (m, j)
+            for k, (ls, ct) in enumerate(zip(logsines, cotangents), start=1):
+                assert off(ls, mp.log(mp.sinpi(mp.mpf(k) / m))) < 2 ** (2 * b + 3), (m, k)
+                assert off(ct, mp.pi / 2 * mp.cot(mp.pi * k / m)) < 2 ** (3 * b + 3), (m, k)
 
 
 class TestDivisorRate:

@@ -80,6 +80,7 @@ class TestMeasureBound:
         assert payload["params"]["p"] == [4, 5, 3]
         assert payload["poly_exponent"].startswith("2.574553902")
         assert payload["flags"]["distinct_char_values"] is True
+        assert float(payload["log2_root_radius"]) < -(192 + 20)
         assert any(row["mu"] == 1 for row in payload["mu_profile"])
         table = rep.to_table()
         assert "approx exponent" in table

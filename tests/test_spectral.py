@@ -127,6 +127,74 @@ class TestRoots:
             characteristic_roots(example1, 128)
 
 
+def reference_roots(params, precision):
+    """mpmath's Durand-Kerner roots, run with `precision` extra bits."""
+    cs = [Fraction(c) for c in reversed(characteristic_polynomial(params).coeffs)]
+    with mp.workprec(precision + 24):
+        return mp.polyroots([mp.mpf(c.numerator) / c.denominator for c in cs],
+                            maxsteps=200, extraprec=precision)
+
+
+class TestNewtonRoots:
+    @staticmethod
+    def assert_match(params, precision):
+        sd = characteristic_roots(params, precision)
+        other = reference_roots(params, precision)
+        assert len(sd.roots) == len(other) == params.n
+        with mp.workprec(precision + 64):
+            for y in sd.roots:
+                err = min(abs(y - o) for o in other)
+                assert err < mp.mpf(2) ** -(precision + 16) * max(1, abs(y)), \
+                    (params.p, params.q, params.z, precision)
+
+    @pytest.mark.parametrize("precision", [64, 512, 1024, 4096])
+    def test_presets_against_polyroots(self, precision):
+        for params in preset_catalog().values():
+            self.assert_match(params, precision)
+
+    @pytest.mark.parametrize("precision", [64, 512])
+    def test_corpus_against_polyroots(self, precision):
+        for params, _ in oracle_corpus(404, 30):
+            self.assert_match(params, precision)
+
+    @pytest.mark.parametrize("precision", [512, 1024])
+    def test_inclusion_radius_reported(self, precision):
+        for name, params in preset_catalog().items():
+            sd = spectral_data(params, precision)
+            assert sd.log2_root_radius < -(precision + 20), name
+            payload = json.loads(sd.to_json())
+            assert float(payload["log2_root_radius"]) < -(precision + 20), name
+
+    def test_exact_root_has_zero_radius(self):
+        sd = characteristic_roots(ParamSet(p=(1,), q=(0,), z=Fraction(-1)), 128)
+        assert sd.log2_root_radius == mp.ninf
+        assert json.loads(sd.to_json())["log2_root_radius"] == "-inf"
+
+    def test_duplicated_start_raises(self, example2, monkeypatch):
+        # two starts at one root converge to it together; their inclusion
+        # disks meet, so no repeated root is returned
+        locate = mp.polyroots
+
+        def duplicated(*a, **k):
+            starts = locate(*a, **k)
+            return [starts[0]] + starts[:-1]
+
+        monkeypatch.setattr(mp, "polyroots", duplicated)
+        with pytest.raises(PrecisionError, match="overlap"):
+            characteristic_roots(example2, 256)
+
+    def test_far_start_raises(self, example1, monkeypatch):
+        # from 10^40 Newton needs about 200 steps, far beyond the ladder
+        locate = mp.polyroots
+
+        def far(*a, **k):
+            return locate(*a, **k)[:-1] + [mp.mpc(10) ** 40]
+
+        monkeypatch.setattr(mp, "polyroots", far)
+        with pytest.raises(PrecisionError, match="Newton"):
+            characteristic_roots(example1, 256)
+
+
 def published_exponents() -> dict:
     """The benchmark's table of published preset exponents and tolerances."""
     path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
