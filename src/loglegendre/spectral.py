@@ -5,13 +5,10 @@ whose limiting characteristic roots are the values
 
     v_h = prod_j (y_h - q_j)^{q_j} (y_h + p_j)^{p_j} / (p_j + q_j)^{p_j+q_j},
 
-where the y_h solve zeta prod(y + p_j) = (zeta - 1) prod(y - q_j).  mpmath's
-polyroots locates them at 53 bits; Newton's method on the exact integer
-coefficients then refines each one, doubling the precision, until the disk
-of radius n |f(y)/f'(y)| about it, which contains a root, is below
-2^-(precision + 23); the disks must be pairwise disjoint, and the largest
-radius is reported.  Growth rates of solution sequences are read off with a
-windowed-max slope fit.
+where the y_h solve zeta prod(y + p_j) = (zeta - 1) prod(y - q_j), located
+at 53 bits and refined by Newton's method to disjoint inclusion disks.
+Growth rates of solution sequences are read off with a windowed-max slope
+fit.
 
 For small instances an annihilating coefficient vector witnesses the
 recurrence directly.  It is found modulo a fixed sequence of 128-bit primes
@@ -141,14 +138,12 @@ def characteristic_roots(params: ParamSet, precision: int = 512) -> SpectralData
     argument); the values are those :func:`char_values` reads.
 
     mpmath's Durand-Kerner iteration (`polyroots`) only locates the roots,
-    at 53 bits.  Each root is then refined on its own by Newton's method on
-    the exact integer multiple of the characteristic polynomial
-    (:func:`_newton_root`), and comes back as the centre of a disk of radius
-    n |f(y)/f'(y)| < 2^-(precision + 23) max(1, |y|) that contains a root.
-    The n disks must be pairwise disjoint, so that they hold n distinct
-    roots, which are all of them.  PrecisionError if the locator does not
-    converge, a root misses the radius rule, or two disks meet.  The values
-    are computed at precision + 64 bits.
+    at 53 bits; :func:`_newton_root` refines each one on the exact integer
+    multiple of the characteristic polynomial to the centre of a small disk
+    that contains a root.  The n disks must be pairwise disjoint, so that
+    they hold all n roots.  PrecisionError if the locator does not converge,
+    a root is not refined, or two disks meet.  The values are computed at
+    precision + 64 bits.
     """
     poly = characteristic_polynomial(params)
     den = poly.content_denominator()
