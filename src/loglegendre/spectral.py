@@ -148,9 +148,13 @@ def characteristic_roots(params: ParamSet, precision: int = 512) -> SpectralData
     poly = characteristic_polynomial(params)
     den = poly.content_denominator()
     coeffs = [int(c * den) for c in poly.coeffs]
+    # polyroots stops once every step is below 2^-52 in absolute terms, so it
+    # gets bits for the size of the roots (Cauchy's bound) on top of 53
+    size = (max(map(abs, coeffs[:-1]), default=0) // coeffs[-1] + 1).bit_length()
     try:
         with mp.workprec(53):
-            starts = mp.polyroots(coeffs[::-1], maxsteps=200, cleanup=True, extraprec=10)
+            starts = mp.polyroots(coeffs[::-1], maxsteps=200, cleanup=True,
+                                  extraprec=20 + size)
     except mp.mp.NoConvergence as exc:
         raise PrecisionError(f"root location did not converge: {exc}") from exc
     refined = [_newton_root(coeffs, mp.mpc(y), precision) for y in starts]

@@ -157,6 +157,13 @@ class TestNewtonRoots:
         for params, _ in oracle_corpus(404, 30):
             self.assert_match(params, precision)
 
+    @pytest.mark.parametrize("precision", [64, 512])
+    def test_large_root_located(self, precision):
+        # the largest root is about 4390: at 63 bits, polyroots could never
+        # take an absolute step below its 2^-52 stopping tolerance
+        params = ParamSet(p=(17, 19, 24, 1), q=(7, 12, 21, 0), z=Fraction(-43))
+        self.assert_match(params, precision)
+
     @pytest.mark.parametrize("precision", [512, 1024])
     def test_inclusion_radius_reported(self, precision):
         for name, params in preset_catalog().items():
