@@ -7,8 +7,9 @@ prime-power divisor
     Delta_t = prod_{s prime, s^2 > N_1 t} s^mu({t/s}),
 
 where mu(omega) is the largest gain the floor sums sum_j [(p_j + q_j) omega]
-can make when the q's are permuted against the p's, an assignment problem
-solved by a dynamic program over subsets of columns.  mu is a step function
+can make when the q's are permuted against the p's.  Each pair gains one
+exactly when its two fractional parts sum to at least 1, so mu is a largest
+threshold matching, found by a sort.  mu is a step function
 with rational breakpoints, and (1/t) log Delta_t converges to a digamma
 expression over those breakpoints.  Everything here is exact except the
 digamma evaluations, which carry explicit precision.
@@ -38,10 +39,6 @@ from .errors import ParamError
 from .exact import DensePoly, lcm_clearing_multiplier, primes_in_range
 from .legendre import ParamSet
 
-# floor_gain accepts n <= 9: its subset search costs n 2^n steps per omega,
-# and a profile runs it at every candidate breakpoint
-MAX_BRUTE_FORCE_N = 9
-
 
 # ---------------------------------------------------------------------------
 # exponent bookkeeping
@@ -70,29 +67,32 @@ def exponent_profile(params: ParamSet) -> ExponentProfile:
 def floor_gain(params: ParamSet, omega: Fraction) -> int:
     """max over permutations sigma of sum_j ([(p_j + q_sigma(j)) w] - [(p_j + q_j) w]).
 
-    The maximum is an assignment of columns q_k to rows p_j, found by a
-    dynamic program over subsets of columns in O(n 2^n): after row j, best
-    maps each set of j + 1 used columns to the largest floor sum of rows
-    0..j over them.
+    [a + b] = [a] + [b] + 1 exactly when {a} + {b} >= 1, and [a] + [b]
+    otherwise.  So with w = num/den, a_j = p_j num mod den and
+    b_k = q_k num mod den, a permutation's floor sum is a constant plus the
+    number of its pairs with a_j + b_k >= den.  Any matching extends to a
+    permutation, so mu is a largest matching of such pairs less the diagonal
+    pairs that already have it.  Greedy
+    finds that matching: some largest matching pairs the largest a with the
+    smallest b that reaches den (exchange the two partners otherwise), and
+    every b skipped on the way is too small for each later, smaller a.
     """
     omega = Fraction(omega)
     if not 0 <= omega < 1:
         raise ParamError("omega must lie in [0, 1)")
-    n = params.n
-    if n > MAX_BRUTE_FORCE_N:
-        raise ParamError(f"floor_gain is capped at n <= {MAX_BRUTE_FORCE_N}")
     num, den = omega.numerator, omega.denominator
-    floors = [[(pj + qk) * num // den for qk in params.q] for pj in params.p]
-    best = {0: 0}
-    for row in floors:
-        nxt = {}
-        for used, total in best.items():
-            for k, f in enumerate(row):
-                bit = 1 << k
-                if not used & bit and nxt.get(used | bit, -1) < total + f:
-                    nxt[used | bit] = total + f
-        best = nxt
-    return best[(1 << n) - 1] - sum(floors[j][j] for j in range(n))
+    a = [p * num % den for p in params.p]
+    b = [q * num % den for q in params.q]
+    cols = sorted(b)
+    k = matched = 0
+    for x in sorted(a, reverse=True):
+        while k < len(cols) and x + cols[k] < den:
+            k += 1
+        if k == len(cols):
+            break
+        matched += 1
+        k += 1
+    return matched - sum(x + y >= den for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)

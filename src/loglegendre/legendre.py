@@ -403,7 +403,7 @@ def christoffel_value(P: DensePoly, z: Fraction, j: int = 1) -> Fraction:
     if d <= 0:
         return Fraction(0)
     den = P.content_denominator()
-    nums = [int(c * den) for c in P.coeffs]
+    nums = [c.numerator * (den // c.denominator) for c in P.coeffs]
     a, b = z.numerator, z.denominator
     bp = [1] * (d + 1)
     for i in range(1, d + 1):
@@ -424,7 +424,7 @@ def eval_at_rational(P: DensePoly, z: Fraction) -> Fraction:
     if d < 0:
         return Fraction(0)
     den = P.content_denominator()
-    nums = [int(c * den) for c in P.coeffs]
+    nums = [c.numerator * (den // c.denominator) for c in P.coeffs]
     a, b = z.numerator, z.denominator
     acc = 0
     bp = 1
@@ -448,16 +448,6 @@ def _mpf_from_fraction(x: Fraction) -> mp.mpf:
     return mp.mpf(x.numerator) / x.denominator
 
 
-def form_terms(params: ParamSet, t: int, j: int,
-               L: Optional[DensePoly] = None) -> tuple[Fraction, Fraction]:
-    """Exact values (L(z), T^j(L)(z)) feeding the j-th log form."""
-    if params.m is None or not 1 <= j <= params.m:
-        raise ParamError("need 1 <= j <= m")
-    if L is None:
-        L = legendre_poly(params, t)
-    return eval_at_rational(L, params.z), christoffel_value(L, params.z, j)
-
-
 def legendre_function_value(params: ParamSet, t: int, j: int, precision: int,
                             L: Optional[DensePoly] = None) -> mp.mpf:
     """Value of the j-th log form L(z) log^j(z/(z-1)) - T^j(L)(z) at z = a/b.
@@ -468,7 +458,11 @@ def legendre_function_value(params: ParamSet, t: int, j: int, precision: int,
     the returned value carries `precision` significant bits.  A working
     precision above DEFAULT_MAX_WORKING_BITS raises PrecisionError.
     """
-    lz, tz = form_terms(params, t, j, L=L)
+    if params.m is None or not 1 <= j <= params.m:
+        raise ParamError("need 1 <= j <= m")
+    if L is None:
+        L = legendre_poly(params, t)
+    lz, tz = eval_at_rational(L, params.z), christoffel_value(L, params.z, j)
     w = params.z / (params.z - 1)
     magbits = max(_bit_magnitude(lz), _bit_magnitude(tz), 1)
 

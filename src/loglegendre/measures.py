@@ -131,8 +131,10 @@ def growth_decay_rates(params: ParamSet, delta, log_v_max, log_v_capped,
 
 
 def _round_outward(x, precision: int):
-    """Nudge a positive exponent up by one unit in its last carried place, so
-    the reported bound is weaker than (hence implied by) the internal value."""
+    """Nudge a positive exponent up by the relative amount 2^-(precision-8),
+    about 256 units in its last carried place (256.5 2^-512 relative for 1/3
+    at 512 bits, with the rounding of the product), so the reported bound is
+    weaker than (hence implied by) the internal value."""
     with mp.workprec(precision):
         return +(x * (1 + mp.mpf(2) ** (-(precision - 8))))
 

@@ -147,7 +147,7 @@ def characteristic_roots(params: ParamSet, precision: int = 512) -> SpectralData
     """
     poly = characteristic_polynomial(params)
     den = poly.content_denominator()
-    coeffs = [int(c * den) for c in poly.coeffs]
+    coeffs = [c.numerator * (den // c.denominator) for c in poly.coeffs]
     # polyroots stops once every step is below 2^-52 in absolute terms, so it
     # gets bits for the size of the roots (Cauchy's bound) on top of 53
     size = (max(map(abs, coeffs[:-1]), default=0) // coeffs[-1] + 1).bit_length()

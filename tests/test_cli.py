@@ -204,6 +204,13 @@ class TestDeltaCommand:
         assert len(digits) == 6389 and digits.isdigit()
         assert int(Decimal(digits)) == guaranteed_divisor(preset_catalog()["log2-m1"], 3000)
 
+    def test_ten_exponent_pairs(self, capsys):
+        code, out, _ = run(capsys, "delta", "--z", "-1", "--p", "1,2,3,4,5,6,7,8,9,10",
+                           "--q", "0,1,2,3,4,5,6,7,8,9", "--t", "12")
+        assert code == 0
+        payload = json.loads(out)
+        assert int(payload["divisor"]) >= 1 and payload["mu_profile"]
+
     def test_zero_scale_is_usage_error(self, capsys):
         code, out, err = run(capsys, "delta", "--preset", "log2-m1", "--t", "0")
         assert code == 2

@@ -55,6 +55,25 @@ def floor_gain_by_definition(params, omega: Fraction) -> int:
                for s in itertools.permutations(range(n))) - diag
 
 
+def floor_gain_by_subset_dp(params, omega: Fraction) -> int:
+    """The largest gain as an assignment, by a dynamic program over subsets
+    of columns in O(n 2^n): after row j, best maps each set of j + 1 used
+    columns to the largest floor sum of rows 0..j over them."""
+    n = params.n
+    num, den = omega.numerator, omega.denominator
+    floors = [[(pj + qk) * num // den for qk in params.q] for pj in params.p]
+    best = {0: 0}
+    for row in floors:
+        nxt = {}
+        for used, total in best.items():
+            for k, f in enumerate(row):
+                bit = 1 << k
+                if not used & bit and nxt.get(used | bit, -1) < total + f:
+                    nxt[used | bit] = total + f
+        best = nxt
+    return best[(1 << n) - 1] - sum(floors[j][j] for j in range(n))
+
+
 class TestExponentProfile:
     def test_example1(self, example1):
         prof = exponent_profile(example1)
@@ -119,10 +138,25 @@ class TestFloorGain:
             assert floor_gain(params, omega) == floor_gain_by_definition(params, omega), \
                 f"p={params.p} q={params.q} omega={omega}"
 
-    def test_brute_force_cap(self):
-        params = ParamSet(p=(1,) * 10, q=(0,) * 10, z=Fraction(-1))
-        with pytest.raises(ParamError):
-            floor_gain(params, Fraction(1, 2))
+    @pytest.mark.parametrize("n", range(10, 15))
+    def test_against_subset_dp_beyond_nine(self, n):
+        rng = random.Random(1000 + n)
+        for _ in range(4):
+            params = ParamSet(p=tuple(rng.randint(1, 40) for _ in range(n)),
+                              q=tuple(rng.randint(0, 40) for _ in range(n)),
+                              z=Fraction(-1))
+            for _ in range(4):
+                d = rng.randint(2, 97)
+                omega = Fraction(rng.randint(1, d - 1), d)
+                assert floor_gain(params, omega) == floor_gain_by_subset_dp(params, omega), \
+                    f"p={params.p} q={params.q} omega={omega}"
+
+    def test_presets_small_denominators_against_definition(self):
+        omegas = sorted({Fraction(c, d) for d in range(1, 61) for c in range(d)})
+        for name, params in preset_catalog().items():
+            for omega in omegas:
+                assert floor_gain(params, omega) == floor_gain_by_definition(params, omega), \
+                    f"{name} omega={omega}"
 
     def test_nonnegative(self, example1):
         rng = random.Random(30)
@@ -164,6 +198,13 @@ class TestProfile:
         for _ in range(60):
             omega = Fraction(rng.randint(0, 419), 420)
             assert prof.value_at(omega) == floor_gain(example1, omega)
+
+    def test_builds_beyond_nine(self):
+        params = ParamSet(p=tuple(range(1, 11)), q=tuple(range(10)), z=Fraction(-1))
+        prof = floor_gain_profile(params)
+        assert prof.breakpoints[0] == 0 and prof.values[0] == 0
+        for omega in (Fraction(1, 3), Fraction(7, 19), Fraction(11, 12)):
+            assert prof.value_at(omega) == floor_gain_by_subset_dp(params, omega)
 
     def test_preset_profiles_frozen(self):
         frozen = json.loads(PRESET_PROFILES.read_text())
