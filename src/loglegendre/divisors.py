@@ -72,10 +72,10 @@ def floor_gain(params: ParamSet, omega: Fraction) -> int:
     b_k = q_k num mod den, a permutation's floor sum is a constant plus the
     number of its pairs with a_j + b_k >= den.  Any matching extends to a
     permutation, so mu is a largest matching of such pairs less the diagonal
-    pairs that already have it.  Greedy
-    finds that matching: some largest matching pairs the largest a with the
-    smallest b that reaches den (exchange the two partners otherwise), and
-    every b skipped on the way is too small for each later, smaller a.
+    pairs that already have it.  Greedy finds that matching: some largest
+    matching pairs the largest a with the smallest b that reaches den
+    (exchange the two partners otherwise), and every b skipped on the way is
+    too small for each later, smaller a.
     """
     omega = Fraction(omega)
     if not 0 <= omega < 1:
