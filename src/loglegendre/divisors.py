@@ -30,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, log
+from math import isqrt, lcm, log
 from typing import Sequence
 
 import mpmath as mp
@@ -124,17 +124,17 @@ def floor_gain_profile(params: ParamSet) -> FloorGainProfile:
     """Evaluate mu at every candidate breakpoint c/(p_i + q_j) and merge runs.
 
     The floors can only jump at fractions whose denominator is a cross sum,
-    so the candidate set is complete by construction.  Cached per parameter
-    set (the profile is immutable), so repeated callers share one build.
+    so the candidate set is complete by construction.  The candidates are
+    sorted as integer numerators over L, the lcm of the cross sums.  Cached
+    per parameter set (the profile is immutable), so repeated callers share
+    one build.
     """
-    cands = {Fraction(0)}
-    for s in set(p + q for p in params.p for q in params.q):
-        for c in range(1, s):
-            cands.add(Fraction(c, s))
-    pts = sorted(cands)
+    sums = set(p + q for p in params.p for q in params.q)
+    L = lcm(*sums)
     bps: list[Fraction] = []
     vals: list[int] = []
-    for x in pts:
+    for num in sorted({c * (L // s) for s in sums for c in range(s)}):
+        x = Fraction(num, L)
         v = floor_gain(params, x)
         if not vals or vals[-1] != v:
             bps.append(x)

@@ -5,10 +5,13 @@ whose limiting characteristic roots are the values
 
     v_h = prod_j (y_h - q_j)^{q_j} (y_h + p_j)^{p_j} / (p_j + q_j)^{p_j+q_j},
 
-where the y_h solve zeta prod(y + p_j) = (zeta - 1) prod(y - q_j), located
-at 53 bits and refined by Newton's method to disjoint inclusion disks.
-Growth rates of solution sequences are read off with a windowed-max slope
-fit.
+where the y_h solve zeta prod(y + p_j) = (zeta - 1) prod(y - q_j).  The
+roots and the v_h are computed on Gaussian integers (pairs of ints on a grid
+2^-w): the roots are located by Durand-Kerner and refined by Newton's method
+on exact values of the polynomial, and the inclusion disks are accepted and
+checked disjoint by integer comparisons; the v_h are products of powers cut
+to a fixed number of bits.  Growth rates of solution sequences are read off
+with a windowed-max slope fit.
 
 For small instances an annihilating coefficient vector witnesses the
 recurrence directly.  It is found modulo a fixed sequence of 128-bit primes
@@ -24,7 +27,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import isqrt, lcm, prod
 from typing import Optional, Sequence
 
 import mpmath as mp
@@ -86,50 +89,129 @@ class SpectralData:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _mul(a: tuple, b: tuple, bits: int) -> tuple:
+    """a b for Gaussian integers (re, im, e) = (re + i im) 2^e, both parts cut
+    toward zero to at most `bits` bits with one shared exponent."""
+    (ar, ai, ae), (br, bi, be) = a, b
+    re, im = ar * br - ai * bi, ar * bi + ai * br
+    s = max(abs(re).bit_length(), abs(im).bit_length(), bits) - bits
+    return re >> s if re >= 0 else -(-re >> s), im >> s if im >= 0 else -(-im >> s), ae + be + s
+
+
 def _char_value_at(params: ParamSet, y, work: int):
+    """v = prod_j (y - q_j)^q_j (y + p_j)^p_j / (p_j + q_j)^(p_j + q_j) at work bits.
+
+    The numerator is formed on Gaussian integers from the exact mpc y, each
+    power by square-and-multiply, and :func:`_mul` cuts each base and product
+    to work + 16 bits: at most 2^-(work+14) relative each.  A cut on the
+    partial power z^m of z^k is raised by at most k/m, and those factors sum
+    to at most 3k, so the numerator is within (3M + 2n) 2^-(work+14)
+    relative, M = sum(p_j + q_j).  It becomes one mpc, divided by the integer
+    prod (p_j + q_j)^(p_j + q_j) at work bits.  (mpmath's z**k would take
+    exp(k log z) once k times the bits reaches 10000.)
+    """
+    (sr, xr, er, _), (si, xi, ei, _) = y.real._mpf_, y.imag._mpf_
+    e = min(er, ei, 0)
+    x, i = (-xr if sr else xr) << (er - e), (-xi if si else xi) << (ei - e)
+    bits, acc = work + 16, (1, 0, 0)
+    for p, q in params.pairs():
+        for base, k in ((x - (q << -e), q), (x + (p << -e), p)):
+            if k:
+                z = r = _mul((base, i, e), (1, 0, 0), bits)
+                for bit in bin(k)[3:]:
+                    r = _mul(r, r, bits)
+                    r = _mul(r, z, bits) if bit == "1" else r
+                acc = _mul(acc, r, bits)
+    re, im, e = acc
     with mp.workprec(work):
-        v = mp.mpf(1)
-        for p, q in params.pairs():
-            v = v * (y - q) ** q * (y + p) ** p
-            v = v / mp.mpf((p + q) ** (p + q))
-        return +v
+        return mp.mpc(mp.mpf((re, e)), mp.mpf((im, e))) / prod(
+            (p + q) ** (p + q) for p, q in params.pairs())
+
+
+def _horner(coeffs: list[int], x: int, y: int, w: int) -> tuple[int, int, int, int]:
+    """(Re F, Im F, Re D, Im D) for F = 2^(wn) f(u) and D = 2^(w(n-1)) f'(u),
+    exactly, at u = (x + iy)/2^w; f(u) = sum coeffs[k] u^k has degree n."""
+    n = len(coeffs) - 1
+    fr, fi, dr, di = coeffs[n], 0, 0, 0
+    for k in range(n - 1, -1, -1):
+        dr, di = dr * x - di * y + fr, dr * y + di * x + fi
+        fr, fi = fr * x - fi * y + (coeffs[k] << w * (n - k)), fr * y + fi * x
+    return fr, fi, dr, di
+
+
+def _quotient(fr: int, fi: int, dr: int, di: int) -> tuple[int, int]:
+    """(fr + i fi)/(dr + i di) rounded to the nearest Gaussian integer."""
+    d2 = dr * dr + di * di
+    return (2 * (fr * dr + fi * di) + d2) // (2 * d2), (2 * (fi * dr - fr * di) + d2) // (2 * d2)
+
+
+LOCATOR_MAX_SWEEPS = 200
+
+
+def _locate_roots(coeffs: list[int]) -> tuple[int, list[list[int]]]:
+    """(w, [[x, y], ...]), points (x + iy)/2^w near the roots of sum coeffs[k] u^k.
+
+    polyroots' Durand-Kerner iteration from the starts (0.4 + 0.9i)^k, each
+    point moved in place, on the grid 2^-w, w = 73 + size (size the bit
+    length of Cauchy's bound): the bits polyroots has at 53 bits with
+    extraprec 20 + size.  Each correction f(u)/(c prod_j (u - u_j)), c the
+    leading coefficient and a zero factor skipped as polyroots does, is exact
+    before it is rounded to the grid.  Stops once a sweep moves every point
+    less than 2^-52; PrecisionError after LOCATOR_MAX_SWEEPS sweeps.
+    """
+    n = len(coeffs) - 1
+    w = 73 + (max(map(abs, coeffs[:-1]), default=0) // coeffs[-1] + 1).bit_length()
+    pts = [[round(Fraction(c.real) * 2**w), round(Fraction(c.imag) * 2**w)]
+           for c in (complex(0.4, 0.9) ** k for k in range(n))]
+    for _ in range(LOCATOR_MAX_SWEEPS):
+        done = True
+        for u in pts:
+            fr, fi, _, _ = _horner(coeffs, *u, w)
+            pr, pi = coeffs[n], 0
+            for v in pts:
+                dx, dy = u[0] - v[0], u[1] - v[1]
+                if dx or dy:
+                    pr, pi = pr * dx - pi * dy, pr * dy + pi * dx
+                elif v is not u:
+                    pr, pi = pr << w, pi << w
+            done = done and fr * fr + fi * fi < (pr * pr + pi * pi) << 2 * (w - 52)
+            sx, sy = _quotient(fr, fi, pr, pi)
+            u[0], u[1] = u[0] - sx, u[1] - sy
+        if done:
+            return w, pts
+    raise PrecisionError(f"root location did not converge in {LOCATOR_MAX_SWEEPS} sweeps")
 
 
 NEWTON_EXTRA_STEPS = 3  # full-precision steps allowed after the ladder
 
 
-def _newton_root(coeffs: list[int], y, precision: int):
-    """Refine the root near y of the integer polynomial sum coeffs[k] y^k.
+def _newton_root(coeffs: list[int], x: int, y: int, w: int, precision: int):
+    """Refine the root near (x + iy)/2^w of f(u) = sum coeffs[k] u^k, degree n.
 
-    Newton's method runs on a precision ladder that doubles up to
-    work = precision + 64 bits.  A root is accepted at the first point y
-    with n |f(y)/f'(y)| < 2^-(precision + 23) max(1, |y|), evaluated at work
-    bits; returns (y, that radius), and the disk of that radius about y
-    contains a root of f.  PrecisionError when the rule still fails after
-    the ladder and NEWTON_EXTRA_STEPS more steps, or f'(y) vanishes.
+    Newton's method on :func:`_horner`, each step rounded to the grid 2^-v,
+    v on a ladder that doubles up to work = precision + 64.  Returns (x, y, r)
+    for the first u = (x + iy)/2^work with n |f(u)/f'(u)| <
+    2^-(precision + 23) max(1, |u|), decided in integers; the disk about u of
+    radius r/2^(2 work) >= n |f(u)/f'(u)| (0 if f(u) = 0) holds a root.
+    PrecisionError when the rule still fails after the ladder and
+    NEWTON_EXTRA_STEPS more steps, or f'(u) vanishes.
     """
-    n = len(coeffs) - 1
-    work = precision + 64
+    n, work = len(coeffs) - 1, precision + 64
     ladder = [work]
     while ladder[-1] > 106:
         ladder.append(ladder[-1] // 2 + 4)
-    ladder = ladder[::-1] + [work] * NEWTON_EXTRA_STEPS
-    tol = mp.mpf(2) ** -(precision + 23)
-    for w in ladder:
-        with mp.workprec(w):
-            f, df = mp.mpc(coeffs[n]), mp.mpc(0)
-            for c in reversed(coeffs[:n]):
-                df = df * y + f
-                f = f * y + c
-            if df == 0:
-                break
-            step = f / df
-            if w == work:
-                radius = n * abs(step)
-                if radius < tol * max(1, abs(y)):
-                    return y, radius
-            y = y - step
-    raise PrecisionError(f"Newton refinement of the root near {mp.nstr(y, 8)} "
+    for v in ladder[::-1] + [work] * NEWTON_EXTRA_STEPS:
+        x, y, w = (x << v - w, y << v - w, v) if v >= w else (x >> w - v, y >> w - v, v)
+        fr, fi, dr, di = _horner(coeffs, x, y, w)
+        if not (dr or di):
+            break
+        f2, d2 = n * n * (fr * fr + fi * fi), dr * dr + di * di
+        if w == work and f2 << 2 * (precision + 23) < d2 * max(1 << 2 * w, x * x + y * y):
+            return x, y, isqrt((f2 << 2 * w) // d2) + 1 if f2 else 0
+        sx, sy = _quotient(fr, fi, dr, di)
+        x, y = x - sx, y - sy
+    near = mp.mpc(mp.mpf((x, -w)), mp.mpf((y, -w)))
+    raise PrecisionError(f"Newton refinement of the root near {mp.nstr(near, 8)} "
                          f"did not reach 2^-{precision + 23}")
 
 
@@ -137,48 +219,38 @@ def characteristic_roots(params: ParamSet, precision: int = 512) -> SpectralData
     """All n roots and their values v_h, ordered by descending |v_h| (ties by
     argument); the values are those :func:`char_values` reads.
 
-    mpmath's Durand-Kerner iteration (`polyroots`) only locates the roots,
-    at 53 bits; :func:`_newton_root` refines each one on the exact integer
-    multiple of the characteristic polynomial to the centre of a small disk
-    that contains a root.  The n disks must be pairwise disjoint, so that
-    they hold all n roots.  PrecisionError if the locator does not converge,
-    a root is not refined, or two disks meet.  The values are computed at
-    precision + 64 bits.
+    On the exact integer multiple of the characteristic polynomial,
+    :func:`_locate_roots` locates the roots and :func:`_newton_root` refines
+    each to the centre of a disk that holds a root.  The n disks must be
+    pairwise disjoint, so that they hold all n roots, which is decided in
+    integers; log2_root_radius is log2 of the largest radius rounded up to an
+    integer.  PrecisionError if the locator does not converge, a root is not
+    refined, or two disks meet.  The roots are returned, and the values
+    computed, as mpc at work = precision + 64 bits.
     """
     poly = characteristic_polynomial(params)
     den = poly.content_denominator()
     coeffs = [c.numerator * (den // c.denominator) for c in poly.coeffs]
-    # polyroots stops once every step is below 2^-52 in absolute terms, so it
-    # gets bits for the size of the roots (Cauchy's bound) on top of 53
-    size = (max(map(abs, coeffs[:-1]), default=0) // coeffs[-1] + 1).bit_length()
-    try:
-        with mp.workprec(53):
-            starts = mp.polyroots(coeffs[::-1], maxsteps=200, cleanup=True,
-                                  extraprec=20 + size)
-    except mp.mp.NoConvergence as exc:
-        raise PrecisionError(f"root location did not converge: {exc}") from exc
-    refined = [_newton_root(coeffs, mp.mpc(y), precision) for y in starts]
+    w, starts = _locate_roots(coeffs)
+    refined = [_newton_root(coeffs, x, y, w, precision) for x, y in starts]
     work = precision + 64
+    # squared centre distances on the grid 2^-work, radius sums on 2^-(2 work)
+    gaps = [((xa - xb) ** 2 + (ya - yb) ** 2, ra + rb)
+            for i, (xa, ya, ra) in enumerate(refined) for xb, yb, rb in refined[i + 1:]]
+    if any(gap << 2 * work <= r * r for gap, r in gaps):
+        raise PrecisionError("root inclusion disks overlap")
+    if gaps and min(gaps)[0] < 1 << 2 * (work - precision // 4):
+        warnings.warn("nearly multiple characteristic roots; results may lose accuracy")
+    radius = max(r for _, _, r in refined)
     with mp.workprec(work):
-        sep = mp.mpf("inf")
-        for i, (a, ra) in enumerate(refined):
-            for b, rb in refined[i + 1:]:
-                gap = abs(a - b)
-                if gap <= ra + rb:
-                    raise PrecisionError("root inclusion disks overlap")
-                sep = min(sep, gap)
-        if sep < mp.mpf(2) ** (-(precision // 4)):
-            warnings.warn("nearly multiple characteristic roots; results may lose accuracy")
-        radius = max(r for _, r in refined)
-        log2_radius = mp.log(radius, 2) if radius else mp.ninf
+        roots = [mp.mpc(mp.mpf((x, -work)), mp.mpf((y, -work))) for x, y, _ in refined]
         # deterministic ordering by the companion values
-        decorated = sorted(((y, _char_value_at(params, y, work)) for y, _ in refined),
-                           key=lambda yv: (-abs(yv[1]), mp.arg(yv[1])))
-    return SpectralData(roots=tuple(y for y, _ in decorated),
-                        values=tuple(v for _, v in decorated),
-                        log_abs_values=(), log_v_max=None, log_v_capped=None,
-                        log_threshold=None, precision=precision,
-                        log2_root_radius=+log2_radius)
+        roots, values = zip(*sorted(((y, _char_value_at(params, y, work)) for y in roots),
+                                    key=lambda yv: (-abs(yv[1]), mp.arg(yv[1]))))
+    return SpectralData(roots=roots, values=values, log_abs_values=(), log_v_max=None,
+                        log_v_capped=None, log_threshold=None, precision=precision,
+                        log2_root_radius=mp.mpf((radius - 1).bit_length() - 2 * work)
+                        if radius else mp.ninf)
 
 
 def _log_threshold(params: ParamSet, work: int) -> mp.mpf:

@@ -274,12 +274,10 @@ class TestExitCodeMapping:
         assert "internal error" in err
 
     def test_root_refinement_failure_maps_to_4(self, capsys, monkeypatch):
-        import mpmath as mp
+        from loglegendre import spectral
 
-        def no_convergence(*a, **k):
-            raise mp.mp.NoConvergence("fabricated")
-
-        monkeypatch.setattr(mp, "polyroots", no_convergence)
+        # one Durand-Kerner sweep from the fixed starts does not converge
+        monkeypatch.setattr(spectral, "LOCATOR_MAX_SWEEPS", 1)
         code, out, err = run(capsys, "bound", "--preset", "log2-m1", "--precision", "128")
         assert code == 4
         assert "internal error" in err and "Traceback" not in err

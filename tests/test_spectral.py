@@ -119,10 +119,8 @@ class TestRoots:
 
 
     def test_no_convergence_is_precision_error(self, example1, monkeypatch):
-        def no_convergence(*a, **k):
-            raise mp.mp.NoConvergence("fabricated")
-
-        monkeypatch.setattr(mp, "polyroots", no_convergence)
+        # one Durand-Kerner sweep from the fixed starts does not converge
+        monkeypatch.setattr(spectral, "LOCATOR_MAX_SWEEPS", 1)
         with pytest.raises(PrecisionError):
             characteristic_roots(example1, 128)
 
@@ -180,26 +178,171 @@ class TestNewtonRoots:
     def test_duplicated_start_raises(self, example2, monkeypatch):
         # two starts at one root converge to it together; their inclusion
         # disks meet, so no repeated root is returned
-        locate = mp.polyroots
+        locate = spectral._locate_roots
 
-        def duplicated(*a, **k):
-            starts = locate(*a, **k)
-            return [starts[0]] + starts[:-1]
+        def duplicated(coeffs):
+            w, starts = locate(coeffs)
+            return w, [starts[0]] + starts[:-1]
 
-        monkeypatch.setattr(mp, "polyroots", duplicated)
+        monkeypatch.setattr(spectral, "_locate_roots", duplicated)
         with pytest.raises(PrecisionError, match="overlap"):
             characteristic_roots(example2, 256)
 
     def test_far_start_raises(self, example1, monkeypatch):
         # from 10^40 Newton needs about 200 steps, far beyond the ladder
-        locate = mp.polyroots
+        locate = spectral._locate_roots
 
-        def far(*a, **k):
-            return locate(*a, **k)[:-1] + [mp.mpc(10) ** 40]
+        def far(coeffs):
+            w, starts = locate(coeffs)
+            return w, starts[:-1] + [[10**40 << w, 0]]
 
-        monkeypatch.setattr(mp, "polyroots", far)
+        monkeypatch.setattr(spectral, "_locate_roots", far)
         with pytest.raises(PrecisionError, match="Newton"):
             characteristic_roots(example1, 256)
+
+
+def exact_value_and_slope(params, u):
+    """f(u) and f'(u) of the characteristic polynomial, as pairs (re, im) of
+    Fractions, summed term by term over the powers of the Gaussian rational u."""
+    f, d, power, prev = [Fraction(0)] * 2, [Fraction(0)] * 2, (Fraction(1), Fraction(0)), None
+    for k, c in enumerate(characteristic_polynomial(params).coeffs):
+        f = [f[0] + c * power[0], f[1] + c * power[1]]
+        if prev is not None:
+            d = [d[0] + k * c * prev[0], d[1] + k * c * prev[1]]
+        prev, power = power, (power[0] * u[0] - power[1] * u[1], power[0] * u[1] + power[1] * u[0])
+    return f, d
+
+
+def refined_disks(params, precision, monkeypatch):
+    """The (x, y, r) that characteristic_roots took from each Newton refinement."""
+    refined, newton = [], spectral._newton_root
+
+    def recorded(*args):
+        refined.append(newton(*args))
+        return refined[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_newton_root", recorded)
+        characteristic_roots(params, precision)
+    return refined
+
+
+HARD = [
+    # clusters about a repeated q
+    ParamSet(p=(3, 5, 2), q=(4, 4, 4), z=Fraction(-1, 10**6)),
+    ParamSet(p=(1, 2, 3), q=(7, 7, 0), z=Fraction(-1, 10**6)),
+    ParamSet(p=(6, 1, 9, 2), q=(5, 5, 5, 5), z=Fraction(-1, 10**6)),
+    # n = 10
+    ParamSet(p=tuple(range(1, 11)), q=tuple(range(10, 0, -1)), z=Fraction(-1)),
+    ParamSet(p=(12, 40, 7, 33, 58, 21, 9, 45, 3, 60),
+             q=(0, 17, 52, 8, 30, 41, 2, 59, 26, 11), z=Fraction(-3)),
+    # z > 1 and large |z|
+    ParamSet(p=(9, 14, 31, 5, 47), q=(20, 3, 0, 38, 12), z=Fraction(7)),
+    ParamSet(p=(4, 6, 9), q=(2, 0, 7), z=Fraction(-5 * 10**5)),
+    ParamSet(p=(55, 13, 28, 40, 6, 19), q=(60, 22, 0, 35, 48, 9), z=Fraction(-5 * 10**5)),
+]
+
+
+class TestExactDisks:
+    @staticmethod
+    def assert_enclosures(params, precision, monkeypatch):
+        n, work = params.n, precision + 64
+        other = reference_roots(params, 2 * work)
+        for x, y, r in refined_disks(params, precision, monkeypatch):
+            u = (Fraction(x, 1 << work), Fraction(y, 1 << work))
+            f, d = exact_value_and_slope(params, u)
+            # r / 2^(2 work) >= n |f(u) / f'(u)|, exactly
+            assert r * r * (d[0] ** 2 + d[1] ** 2) >= n * n * (f[0] ** 2 + f[1] ** 2) * 2 ** (4 * work)
+            with mp.workprec(2 * work + 64):
+                centre = mp.mpc(mp.mpf((x, -work)), mp.mpf((y, -work)))
+                err = min(abs(centre - o) for o in other)
+                # the reference is good to 2^-(2 work + 23) relative
+                slack = mp.mpf(2) ** -(2 * work + 16) * max(1, abs(centre))
+                assert err <= mp.mpf((r, -2 * work)) + slack, (params, precision)
+
+    @pytest.mark.parametrize("precision", [64, 512, 1024])
+    def test_presets_inside_disks(self, precision, monkeypatch):
+        for params in preset_catalog().values():
+            self.assert_enclosures(params, precision, monkeypatch)
+
+    @pytest.mark.parametrize("precision", [64, 512])
+    def test_corpus_inside_disks(self, precision, monkeypatch):
+        for params, _ in oracle_corpus(404, 30):
+            self.assert_enclosures(params, precision, monkeypatch)
+
+    def test_acceptance_rule_is_strict(self):
+        # f(u) = u at precision 32: the ladder is the work grid 2^-96 alone,
+        # and n |f/f'| < 2^-(32+23) max(1, |u|) reads |x + iy| < 2^41 there
+        newton = spectral._newton_root
+        x = (1 << 41) - 1
+        assert newton([0, 1], x, 0, 96, 32) == (x, 0, x << 96 | 1)
+        assert newton([0, 1], 1 << 41, 0, 96, 32) == (0, 0, 0)
+
+    def test_radius_rounded_up(self):
+        # the radius |u| = sqrt(5) 2^39 / 2^96 is irrational
+        x, y, r = spectral._newton_root([0, 1], 1 << 40, 1 << 39, 96, 32)
+        assert (x, y) == (1 << 40, 1 << 39)
+        assert (r - 1) ** 2 < 5 << 78 + 192 <= r * r
+
+    def test_locator_follows_polyroots(self, monkeypatch):
+        # the same iteration from the same starts: polyroots converges within
+        # exactly as many sweeps as the locator
+        def sweeps(succeeds):
+            return next(m for m in range(1, 201) if succeeds(m))
+
+        def polyroots_in(coeffs, m):
+            size = (max(map(abs, coeffs[:-1])) // coeffs[-1] + 1).bit_length()
+            try:
+                with mp.workprec(53):
+                    mp.polyroots(coeffs[::-1], maxsteps=m, extraprec=20 + size)
+            except mp.mp.NoConvergence:
+                return False
+            return True
+
+        def locator_in(coeffs, m):
+            monkeypatch.setattr(spectral, "LOCATOR_MAX_SWEEPS", m)
+            try:
+                spectral._locate_roots(coeffs)
+            except PrecisionError:
+                return False
+            return True
+
+        instances = list(preset_catalog().values()) + [p for p, _ in oracle_corpus(404, 12)]
+        for params in instances:
+            poly = characteristic_polynomial(params)
+            den = poly.content_denominator()
+            coeffs = [c.numerator * (den // c.denominator) for c in poly.coeffs]
+            assert sweeps(lambda m: polyroots_in(coeffs, m)) == \
+                sweeps(lambda m: locator_in(coeffs, m)), params
+
+    @pytest.mark.parametrize("name", ["log2019-m4", "log65-m3"])
+    @pytest.mark.parametrize("precision", [64, 512, 1024])
+    def test_values_against_mpmath_power(self, name, precision):
+        # exponents up to 23 and 15; mpmath's z**k takes exp(k log z) once
+        # k (work + 128) >= 10000, so above 64 bits the two routes differ
+        params = preset_catalog()[name]
+        work = precision + 64
+        for y in characteristic_roots(params, precision).roots:
+            v = _char_value_at(params, y, work)
+            with mp.workprec(work + 128):
+                want = mp.mpf(1)
+                for p, q in params.pairs():
+                    want *= (y - q) ** q * (y + p) ** p / mp.mpf(p + q) ** (p + q)
+                assert abs(v - want) <= abs(want) * mp.mpf(2) ** -(work - 8), (name, precision)
+
+    @pytest.mark.parametrize("precision", [64, 512])
+    @pytest.mark.parametrize("index", range(len(HARD)))
+    def test_hard_instances(self, index, precision):
+        # clustered roots cost polyroots bits, so the reference runs at
+        # twice the precision
+        params = HARD[index]
+        sd = characteristic_roots(params, precision)
+        other = reference_roots(params, 2 * precision)
+        assert len(sd.roots) == len(other) == params.n
+        with mp.workprec(2 * precision + 64):
+            for y in sd.roots:
+                err = min(abs(y - o) for o in other)
+                assert err < mp.mpf(2) ** -(precision + 16) * max(1, abs(y))
 
 
 def published_exponents() -> dict:
