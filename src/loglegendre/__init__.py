@@ -5,8 +5,6 @@ from .exact import (
     DensePoly,
     binomial_integer,
     lcm_upto,
-    normalized_derivative,
-    prime_valuation,
     primes_in_range,
 )
 from .legendre import (
@@ -28,7 +26,6 @@ from .series import (
     hyperharmonic_identity,
     oracle_legendre,
     p_to_q,
-    q_to_p,
     series_coefficient,
 )
 from .divisors import (

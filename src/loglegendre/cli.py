@@ -46,6 +46,8 @@ from .spectral import spectral_data, windowed_growth_rate, windowed_log_maxima
 
 EXIT_OK, EXIT_BROKEN_PIPE, EXIT_USAGE, EXIT_HYPOTHESIS, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
+INSTANCE_KEYS = ("preset", "z", "p", "q", "m", "n")  # the flags and config keys of an instance
+
 
 def _parse_rational(text: str) -> Fraction:
     text = text.strip()
@@ -85,34 +87,40 @@ def _load_config(path: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ParamError(f"bad config line: {raw.rstrip()}")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in INSTANCE_KEYS:
+            raise ParamError(f"unknown config key {key!r}; the keys are {', '.join(INSTANCE_KEYS)}")
+        out[key] = value.strip()
     return out
 
 
 def _resolve_params(args) -> ParamSet:
     cfg = _load_config(args.config) if getattr(args, "config", None) else {}
 
-    def pick(flag, key):
-        val = getattr(args, flag, None)
+    def pick(key):
+        val = getattr(args, key, None)
         return val if val is not None else cfg.get(key)
 
-    preset = pick("preset", "preset")
+    preset = pick("preset")
     if preset:
+        extra = [key for key in INSTANCE_KEYS[1:] if pick(key) is not None]
+        if extra:
+            raise ParamError(f"preset {preset!r} fixes the instance; drop {', '.join(extra)}")
         catalog = preset_catalog()
         if preset not in catalog:
             raise ParamError(f"unknown preset {preset!r}; try 'presets'")
         return catalog[preset]
-    z, p, q = pick("z", "z"), pick("p", "p"), pick("q", "q")
+    z, p, q = pick("z"), pick("p"), pick("q")
     if not (z and p and q):
         raise ParamError("need --preset or all of --z, --p, --q")
-    m = pick("m", "m")
+    m = pick("m")
     params = ParamSet(
         p=_parse_int_list(p) if isinstance(p, str) else p,
         q=_parse_int_list(q) if isinstance(q, str) else q,
         z=_parse_rational(z) if isinstance(z, str) else z,
         m=_parse_int(m, "m") if m is not None else None,
     )
-    n = pick("n", "n")
+    n = pick("n")
     if n is not None and _parse_int(n, "n") != params.n:
         raise ParamError(f"--n {n} contradicts the {params.n} exponent pairs given")
     return params

@@ -44,18 +44,6 @@ def decimal_digits(n: int) -> str:
     return str(Decimal(n))
 
 
-def _parse_int(text: str) -> int:
-    """int(text) without the int-from-str digit limit: the digits go through
-    ``decimal.Decimal``, after a check that the text has a shape int() takes
-    (Decimal also takes '1e5', '1.5', 'nan' or '1__0')."""
-    body = text.strip()
-    sign = body[:1] if body[:1] in ("+", "-") else ""
-    groups = body[len(sign):].split("_")
-    if not all(g.isdecimal() for g in groups):
-        raise ValueError(f"invalid integer: {text!r}")
-    return int(Decimal(sign + "".join(groups)))
-
-
 def binomial_integer(nn: int, m: int) -> int:
     """Generalized binomial C(nn, m) = nn(nn-1)...(nn-m+1)/m! for any integer nn.
 
@@ -79,31 +67,14 @@ def _sieve_upto(n: int) -> bytearray:
 
 
 def primes_in_range(lo, hi) -> list[int]:
-    """All primes s with lo < s <= hi, ascending.
-
-    Sieves in segments so memory stays bounded for large hi.
-    """
+    """All primes s with lo < s <= hi, ascending."""
     if lo < 0 or hi < lo:
         raise ValueError("need 0 <= lo <= hi")
     hi_i = int(hi)
     if hi_i < 2:
         return []
-    root = isqrt(hi_i)
-    base_flags = _sieve_upto(root)
-    base = [p for p in range(2, root + 1) if base_flags[p]]
-    out = [p for p in base if lo < p <= hi]
-    seg = max(1 << 16, root)
-    start = root + 1
-    while start <= hi_i:
-        stop = min(start + seg - 1, hi_i)
-        flags = bytearray(b"\x01") * (stop - start + 1)
-        for p in base:
-            first = max(p * p, ((start + p - 1) // p) * p)
-            if first <= stop:
-                flags[first - start :: p] = b"\x00" * len(range(first, stop + 1, p))
-        out.extend(i + start for i, f in enumerate(flags) if f and lo < i + start)
-        start = stop + 1
-    return out
+    flags = _sieve_upto(hi_i)
+    return [p for p in range(2, hi_i + 1) if flags[p] and lo < p]
 
 
 @lru_cache(maxsize=None)
@@ -126,20 +97,6 @@ def lcm_clearing_multiplier(sums: Sequence[int], t: int, m: int) -> int:
     """prod_{j=1..m} d_{max(X_j t, floor(X_1 t / j))}, d_l = lcm(1..l), for
     descending sums X: the diagonal sums p_l + q_l, or the cross sums p_i + q_j."""
     return prod(lcm_upto(max(sums[j - 1] * t, sums[0] * t // j)) for j in range(1, m + 1))
-
-
-def prime_valuation(s: int, m: int) -> int:
-    """Largest a with s**a dividing m; m must be nonzero."""
-    if m == 0:
-        raise ValueError("valuation of zero is undefined")
-    if s < 2:
-        raise ValueError("s must be a prime >= 2")
-    m = abs(m)
-    a = 0
-    while m % s == 0:
-        m //= s
-        a += 1
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +251,12 @@ class DensePoly:
             den = den // gcd(den, d) * d
         return den
 
+    def cleared(self) -> tuple[int, list[int]]:
+        """(den, nums), den the content denominator and nums the integer
+        coefficients of den * P, so that P = (1/den) sum_k nums[k] z^k."""
+        den = self.content_denominator()
+        return den, [c.numerator * (den // c.denominator) for c in self.coeffs]
+
     def derivative(self) -> "DensePoly":
         return DensePoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
@@ -303,39 +266,6 @@ class DensePoly:
         """Canonical text form: one 'num/den' per line, lowest degree first."""
         return "\n".join(f"{decimal_digits(c.numerator)}/{decimal_digits(c.denominator)}"
                          for c in self.coeffs)
-
-    @staticmethod
-    def parse(text: str) -> "DensePoly":
-        coeffs: list[Rational] = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            num, _, den = line.partition("/")
-            f = Fraction(_parse_int(num), _parse_int(den) if den else 1)
-            coeffs.append(f.numerator if f.denominator == 1 else f)
-        out = DensePoly(coeffs)
-        if len(out.coeffs) != len(coeffs):
-            raise ValueError("non-canonical input: trailing zero coefficients")
-        return out
-
-
-def normalized_derivative(P: DensePoly, m: int) -> DensePoly:
-    """m-th derivative divided by m!; sends z**k to C(k, m) z**(k-m)."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if m == 0:
-        return P
-    cs = P.coeffs
-    if len(cs) <= m:
-        return DensePoly()
-    out = [0] * (len(cs) - m)
-    b = 1  # C(k, m) built iteratively from k = m
-    for k in range(m, len(cs)):
-        if cs[k]:
-            out[k - m] = b * cs[k]
-        b = b * (k + 1) // (k + 1 - m)
-    return DensePoly(out)
 
 
 def unit_interval_sign_variations(P: DensePoly) -> tuple[int, int]:

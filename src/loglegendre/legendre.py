@@ -301,8 +301,7 @@ def christoffel_transform(P: DensePoly) -> DensePoly:
     d = len(P.coeffs) - 1
     if d <= 0:
         return DensePoly()
-    den = P.content_denominator()
-    nums = [c.numerator * (den // c.denominator) for c in P.coeffs]
+    den, nums = P.cleared()
     big = lcm_upto(d)
     inv = [0] + [big // j for j in range(1, d + 1)]  # big/j
     out = _toeplitz_tail(nums, inv)
@@ -352,8 +351,7 @@ def transform_iterates(params: ParamSet, t: int, L: DensePoly, m: int) -> list[D
     out = []
     for _ in range(m):
         cur = christoffel_transform(cur)
-        den = cur.content_denominator()
-        nums = [c.numerator * (den // c.denominator) for c in cur.coeffs]
+        den, nums = cur.cleared()
         nums = _mul_one_minus_z_pow(nums, p)
         out.append(DensePoly([0] * q + [Fraction(c, den) for c in nums]))
     return out
@@ -402,8 +400,7 @@ def christoffel_value(P: DensePoly, z: Fraction, j: int = 1) -> Fraction:
     d = len(P.coeffs) - 1
     if d <= 0:
         return Fraction(0)
-    den = P.content_denominator()
-    nums = [c.numerator * (den // c.denominator) for c in P.coeffs]
+    den, nums = P.cleared()
     a, b = z.numerator, z.denominator
     bp = [1] * (d + 1)
     for i in range(1, d + 1):
@@ -423,8 +420,7 @@ def eval_at_rational(P: DensePoly, z: Fraction) -> Fraction:
     d = len(P.coeffs) - 1
     if d < 0:
         return Fraction(0)
-    den = P.content_denominator()
-    nums = [c.numerator * (den // c.denominator) for c in P.coeffs]
+    den, nums = P.cleared()
     a, b = z.numerator, z.denominator
     acc = 0
     bp = 1

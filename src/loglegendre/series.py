@@ -14,8 +14,8 @@ brute-force oracle that never touches the differential operators.
 
 Since (1-z) z^i = (-1)^i w^i/(1-w)^(i+1), P(z) = sum_i c_i z^i has
 Q(k) = sum_i (-1)^i c_i C(k, i): the Newton coefficients of Q at k = 0 are
-P's coefficients with alternating signs, and the basis change P <-> Q goes
-through them.  The module also hosts interpolation at k = 0..d and the
+P's coefficients with alternating signs, and the basis change P -> Q
+(:func:`p_to_q`) goes through them.  The module also hosts the
 combinatorial identities tying the transform T to the formal k-derivative
 of Q.  Polynomials in k are :class:`DensePoly` values, like those in z.
 """
@@ -23,10 +23,9 @@ of Q.  Polynomials in k are :class:`DensePoly` values, like those in z.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import ParamError
-from .exact import DensePoly, Rational, binomial_integer
+from .exact import DensePoly, binomial_integer
 from .legendre import ParamSet, christoffel_transform
 
 ORACLE_CAP = 200
@@ -55,56 +54,21 @@ def _times_one_minus_z(c: list[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Newton coefficients, the basis change P <-> Q, and interpolation
+# Newton coefficients, the basis change P -> Q, and the oracle
 # ---------------------------------------------------------------------------
-
-def _forward_differences(values: Sequence[Rational]) -> list[Fraction]:
-    """The leading forward differences of values on the nodes 0..d: the
-    Newton coefficients b_j of the polynomial sum_j b_j C(k, j) through them."""
-    diffs = [Fraction(v) for v in values]
-    out = []
-    while diffs:
-        out.append(diffs[0])
-        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
-    return out
-
-
-def _newton_to_monomial(b: Sequence[Rational]) -> DensePoly:
-    """sum_j b_j C(k, j) in the monomial basis in k, by Horner's rule on
-    b_0 + k (b_1 + (k-1)/2 (b_2 + ...))."""
-    acc = DensePoly()
-    for j in range(len(b) - 1, -1, -1):
-        acc = acc * DensePoly([Fraction(-j, j + 1), Fraction(1, j + 1)]) + DensePoly([b[j]])
-    return acc
-
 
 def p_to_q(P: DensePoly) -> DensePoly:
     """The Q(k) with (1-z) P(z) = sum_k Q(k) w^k.
 
     Its Newton coefficients at k = 0 are P's coefficients with alternating
-    signs: Q(k) = sum_i (-1)^i c_i C(k, i).
+    signs, b = P(-z): Q(k) = sum_j b_j C(k, j), expanded in the monomial
+    basis in k by Horner's rule on b_0 + k (b_1 + (k-1)/2 (b_2 + ...)).
     """
-    return _newton_to_monomial(P.compose_negative().coeffs)
-
-
-def q_to_p(Q: DensePoly) -> DensePoly:
-    """Inverse basis change: the P with (1-z) P(z) = sum_k Q(k) w^k, read off
-    the forward differences of Q(0), ..., Q(d)."""
-    values = [Q.evaluate(k) for k in range(len(Q.coeffs))]
-    return DensePoly(_forward_differences(values)).compose_negative()
-
-
-def interpolate_at_integers(values: Sequence[Rational]) -> DensePoly:
-    """The unique polynomial of degree < len(values) through (i, values[i]):
-    forward differences on the nodes 0..d, then the Newton form expanded."""
-    return _newton_to_monomial(_forward_differences(values))
-
-
-def series_k_polynomial(params: ParamSet, t: int) -> DensePoly:
-    """Q(k) recovered by interpolating the binomial products at k = 0..M*t."""
-    d = params.total_degree * t
-    return interpolate_at_integers(
-        [series_coefficient(params, t, k) for k in range(d + 1)])
+    b = P.compose_negative().coeffs
+    acc = DensePoly()
+    for j in range(len(b) - 1, -1, -1):
+        acc = acc * DensePoly([Fraction(-j, j + 1), Fraction(1, j + 1)]) + DensePoly([b[j]])
+    return acc
 
 
 def oracle_legendre(params: ParamSet, t: int) -> DensePoly:

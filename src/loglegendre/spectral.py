@@ -23,10 +23,10 @@ early is passed over, and running out of primes raises InternalCheckError.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt, lcm, prod
 from typing import Optional, Sequence
 
@@ -66,27 +66,6 @@ class SpectralData:
     precision: int
     # log2 of the largest root inclusion radius n |f(y_h) / f'(y_h)|
     log2_root_radius: Optional[mp.mpf] = None
-
-    def to_json(self) -> str:
-        dps = max(6, int(self.precision * 0.3010)) + 2
-
-        def c2s(c):
-            return {"re": mp.nstr(mp.re(c), dps), "im": mp.nstr(mp.im(c), dps)}
-
-        def opt(x, digits=dps):
-            return mp.nstr(x, digits) if x is not None else None
-
-        payload = {
-            "precision_bits": self.precision,
-            "roots": [c2s(y) for y in self.roots],
-            "values": [c2s(v) for v in self.values],
-            "log_abs_values": [mp.nstr(x, dps) for x in self.log_abs_values],
-            "log_v_max": opt(self.log_v_max),
-            "log_v_capped": opt(self.log_v_capped),
-            "log_threshold": opt(self.log_threshold),
-            "log2_root_radius": opt(self.log2_root_radius, 6),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _mul(a: tuple, b: tuple, bits: int) -> tuple:
@@ -228,9 +207,7 @@ def characteristic_roots(params: ParamSet, precision: int = 512) -> SpectralData
     refined, or two disks meet.  The roots are returned, and the values
     computed, as mpc at work = precision + 64 bits.
     """
-    poly = characteristic_polynomial(params)
-    den = poly.content_denominator()
-    coeffs = [c.numerator * (den // c.denominator) for c in poly.coeffs]
+    _, coeffs = characteristic_polynomial(params).cleared()
     w, starts = _locate_roots(coeffs)
     refined = [_newton_root(coeffs, x, y, w, precision) for x, y in starts]
     work = precision + 64
@@ -403,16 +380,17 @@ def recurrence_witness(params: ParamSet, t: int) -> RecurrenceWitness:
     M = params.total_degree
     Lbound = M * n * (n - 1) // 2 - n + 1
     rows = Lbound + M * (t + n) + 1
-    keys = [(l, i) for l in range(n + 1) for i in range(Lbound + M * (n - l) + 1)]
-    if len(keys) > WITNESS_MAX_COLUMNS or rows > WITNESS_MAX_ROWS:
+    sizes = [Lbound + M * (n - l) + 1 for l in range(n + 1)]  # columns per l
+    if sum(sizes) > WITNESS_MAX_COLUMNS or rows > WITNESS_MAX_ROWS:
         raise ParamError("instance too large for exact elimination")
     scaled = [_legendre_scaled(params.pairs(), t + l) if t + l >= 1 else [1]
               for l in range(n + 1)]
     columns = []
-    for l, i in keys:
-        col = [0] * rows
-        col[i:i + len(scaled[l])] = scaled[l]
-        columns.append(col)
+    for l, size in enumerate(sizes):
+        for i in range(size):
+            col = [0] * rows
+            col[i:i + len(scaled[l])] = scaled[l]
+            columns.append(col)
 
     index, residues, modulus = -1, [], 1
     for p in _witness_primes():
@@ -431,22 +409,20 @@ def recurrence_witness(params: ParamSet, t: int) -> RecurrenceWitness:
         lifted = [rational_reconstruction(r, modulus) for r in residues]
         if None in lifted:
             continue
-        witness = _assemble_witness(
-            params, t, {key: Fraction(*nd) for key, nd in zip(keys, lifted)}, n, Lbound, M)
+        witness = _assemble_witness(t, lifted, sizes)
         if _verify_witness(scaled, witness, rows):
             return witness
     raise InternalCheckError(f"no verified recurrence witness at t={t} after the prime sequence")
 
 
-def _assemble_witness(params, t, combo, n, Lbound, M) -> RecurrenceWitness:
-    polys = []
-    for l in range(n + 1):
-        cs = [Fraction(0)] * (Lbound + M * (n - l) + 1)
-        for (ll, i), val in combo.items():
-            if ll == l:
-                cs[i] = val
-        polys.append(DensePoly(cs))
-    return RecurrenceWitness(t=t, coefficients=tuple(polys))
+def _assemble_witness(t: int, lifted: list[tuple[int, int]], sizes: list[int]
+                      ) -> RecurrenceWitness:
+    """A_0..A_n from the lifted weights (num, den) of the first columns,
+    ordered by l and then i; the columns after them weigh 0.  A_l takes the
+    next sizes[l] weights."""
+    values = [Fraction(*nd) for nd in lifted] + [Fraction(0)] * (sum(sizes) - len(lifted))
+    return RecurrenceWitness(t=t, coefficients=tuple(
+        DensePoly(values[end - size:end]) for size, end in zip(sizes, accumulate(sizes))))
 
 
 def _verify_witness(scaled: list[list[int]], witness: RecurrenceWitness,

@@ -1,0 +1,40 @@
+"""Every name a module of src or tests imports is used in that module.
+
+No linter ships with the project, so this walks each file's AST: a name
+bound by an import must occur as a name somewhere in the file.
+src/loglegendre/__init__.py is left out, since its imports are the
+package's re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted(p for p in (ROOT / "src" / "loglegendre").glob("*.py") if p.name != "__init__.py") \
+    + sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names that the imports of source bind and the rest never reads."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - used)
+
+
+def test_guard_sees_an_unused_import():
+    source = "import os.path\nimport sys\nfrom math import comb as c, gcd\nsys.exit(gcd(2, 4))\n"
+    assert unused_imports(source) == ["c", "os"]
+    assert unused_imports("from __future__ import annotations\nimport os\nos.sep\n") == []
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

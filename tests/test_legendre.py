@@ -6,8 +6,8 @@ import pytest
 
 from loglegendre import legendre as legendre_module
 from loglegendre.corpus import oracle_corpus
-from loglegendre.errors import InternalCheckError, ParamError, PrecisionError
-from loglegendre.exact import DensePoly, normalized_derivative
+from loglegendre.errors import ParamError, PrecisionError
+from loglegendre.exact import DensePoly
 from loglegendre.legendre import (
     ParamSet,
     _dpq_int,
