@@ -90,6 +90,8 @@ def _load_config(path: str) -> dict[str, str]:
         key = key.strip()
         if key not in INSTANCE_KEYS:
             raise ParamError(f"unknown config key {key!r}; the keys are {', '.join(INSTANCE_KEYS)}")
+        if key in out:
+            raise ParamError(f"config key {key!r} is given twice")
         out[key] = value.strip()
     return out
 

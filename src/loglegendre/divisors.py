@@ -17,7 +17,8 @@ digamma evaluations, which carry explicit precision.
 All results are deterministic.  The exact integer/rational layer is safe to
 use from threads.  Digamma is a finite sum by Gauss's theorem, taken exactly
 over per-denominator integer tables (fixed point, read off the powers of
-e^(i pi/m)) kept in a bounded cache, built on first use, never at import;
+e^(i pi/m), with the log-sines and log(2m) from the integer kernel
+exact.fixed_log) kept in a bounded cache, built on first use, never at import;
 the tables are immutable, but the floating-point library's precision
 context is process-global, so run parallel numeric work in separate
 processes (as the CLI does), not threads.
@@ -36,7 +37,7 @@ from typing import Sequence
 import mpmath as mp
 
 from .errors import ParamError
-from .exact import DensePoly, lcm_clearing_multiplier, primes_in_range
+from .exact import DensePoly, fixed_log, lcm_clearing_multiplier, primes_in_range
 from .legendre import ParamSet
 
 
@@ -195,7 +196,9 @@ def _gauss_tables(m: int, work: int) -> tuple:
     k <= m/2, of zeta = e^(i pi/m) (one expjpi, then products), as
     cos(pi k/m) = Re zeta^k and sin(pi k/m) = Im zeta^k, with
     cos(pi k/m) = -cos(pi (m-k)/m) for m/2 < k <= m.  The powers are
-    dropped once the tables are read.
+    dropped once the tables are read.  log(2m) and the log-sines come from
+    exact.fixed_log on the exact mpf values (rounded, within one unit), so
+    no logarithm depends on a per-precision cache of the float library.
     """
     half = m // 2
     with mp.workprec(work):
@@ -207,11 +210,11 @@ def _gauss_tables(m: int, work: int) -> tuple:
         def fixed(x) -> int:
             return int(mp.ldexp(x, work))
 
-        base = fixed(-mp.euler - mp.log(2 * m))
+        base = fixed(-mp.euler) - fixed_log(m, 1, work)
         cosines = tuple(fixed(powers[2 * j].real) if 2 * j <= half
                         else -fixed(powers[m - 2 * j].real) for j in range(half + 1))
         below_half = range(1, (m - 1) // 2 + 1)
-        logsines = tuple(fixed(mp.log(powers[k].imag)) for k in below_half)
+        logsines = tuple(fixed_log(*powers[k].imag.man_exp, work) for k in below_half)
         cotangents = tuple(fixed(mp.pi / 2 * powers[k].real / powers[k].imag)
                            for k in below_half)
     return base, cosines, logsines, cotangents
@@ -233,13 +236,16 @@ def digamma(x: Fraction, precision: int) -> mp.mpf:
     work = precision + 8 + 3b.  zeta carries an error of at most 2u, and
     each of the k <= m/2 complex products adds at most 3u, so every power
     is off by at most 2^(b+2) u, and truncation to the integer scale adds u.
-    Since sin(pi n/m) >= 2/m, log sin is off by at most 2^(2b+2) u, and
-    (pi/2) cot = (pi/2) cos/sin by at most 2^(3b+3) u.  Each of the
-    m - 1 < 2^b weighted terms of 2 sum cos log sin, where |log sin| < b,
-    is off by at most 2^(2b+3) u, the sum by at most 2^(3b+3) u.  The
-    roundings of base, result and rational shift add their sizes times u,
-    at most 2^(b+3) u for 0 < x <= 1 (for larger x the shift's rounding is
-    relative), so the total stays below 2^(3b+5) u = 2^-(precision + 3).
+    Since sin(pi n/m) >= 2/m, that moves log sin by at most
+    2^(2b+1) u (1 + 2^-work), and exact.fixed_log adds under u: at most
+    2^(2b+2) u.  (pi/2) cot = (pi/2) cos/sin is off by at most
+    2^(3b+3) u.  Each of the m - 1 < 2^b weighted terms of
+    2 sum cos log sin, where |log sin| < b, is off by at most 2^(2b+3) u,
+    the sum by at most 2^(3b+3) u.  base is off by under 3u (-gamma
+    rounded and truncated, log(2m) from the kernel), and the roundings of
+    result and rational shift add their sizes times u, at most 2^(b+3) u
+    in all for 0 < x <= 1 (for larger x the shift's rounding is relative),
+    so the total stays below 2^(3b+5) u = 2^-(precision + 3).
     """
     x = Fraction(x)
     if x <= 0:

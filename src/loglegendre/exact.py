@@ -9,9 +9,10 @@ with no trailing zero coefficients; coefficients may be ints or Fractions
 Roots are located by Descartes' rule of signs: by Rolle's theorem the
 Legendre polynomials have only real roots, and then the rule is exact.
 
-The modular kernel at the end works on residues modulo 128-bit primes and
-lifts its results to the rationals by rational reconstruction; it uses ints
-only.
+fixed_log is a logarithm in fixed point on ints, with a stated error and
+no cache that depends on its argument.  The modular kernel at the end works
+on residues modulo 128-bit primes and lifts its results to the rationals by
+rational reconstruction; it uses ints only.
 
 Everything in this module is pure and deterministic; values are immutable
 after construction and safe to share across threads.
@@ -97,6 +98,90 @@ def lcm_clearing_multiplier(sums: Sequence[int], t: int, m: int) -> int:
     """prod_{j=1..m} d_{max(X_j t, floor(X_1 t / j))}, d_l = lcm(1..l), for
     descending sums X: the diagonal sums p_l + q_l, or the cross sums p_i + q_j."""
     return prod(lcm_upto(max(sums[j - 1] * t, sums[0] * t // j)) for j in range(1, m + 1))
+
+
+# ---------------------------------------------------------------------------
+# fixed-point logarithm
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=16)
+def _anchor_logs(prec: int) -> tuple[int, ...]:
+    """log(1 + j/64) 2^prec for j = 0..64, each below the true value by less
+    than 9.2 prec + 128; the last entry is ln 2.
+
+    Chained as log(1 + j/64) = log(1 + (j-1)/64) + 2 atanh(1/(127 + 2j)),
+    with atanh(1/k) = sum_i k^-(2i+1)/(2i+1).  The powers are chained floor
+    quotients, which are exact floors, so each of the fewer than
+    prec/14 + 1 terms (k^2 > 2^14) is low by under 1 and each link by under
+    2 prec/14 + 2.
+    """
+    one, acc, out = 1 << prec, 0, [0]
+    for k in range(129, 256, 2):
+        k2, power, d, s = k * k, one // k, 1, 0
+        while power:
+            s += power // d
+            power //= k2
+            d += 2
+        acc += 2 * s
+        out.append(acc)
+    return tuple(out)
+
+
+def fixed_log(man: int, exp: int, work: int) -> int:
+    """log(man 2^exp) 2^work rounded to an int, within 1 of the true value,
+    for man > 0 and work >= 1.  Ints only: no floating-point library call
+    and no cache that depends on the argument.
+
+    With b = bitlen(man) and e = exp + b - 1 the argument is x 2^e with x
+    in [1, 2), held as X = floor(x 2^P) at P = work + g bits,
+    g = r + bitlen(work) + bitlen(|e|) + 8.  The six bits of x after the
+    leading one pick the anchor a = 1 + j/64, and Y = floor(X/a) puts y in
+    [1, 1 + 1/64).  r = work // 640 square roots (math.isqrt; above about
+    600 bits a root is cheaper than the series terms it saves) bring y
+    nearer to 1, and log y = 2 atanh(v), v = (y - 1)/(y + 1) < 2^-7, is
+    summed as mpmath's log_taylor sums it, two terms per multiplication by
+    v^4.  Then log(x 2^e) = 2^r log y + log a + e ln 2, the last two read
+    from :func:`_anchor_logs` at T bits, P + 16 + bitlen(P) rounded up to a
+    multiple of 256, and shifted down, so that nearby precisions share one
+    table.
+
+    Error, in units u = 2^-P: X and Y lose under u each; each root lowers
+    log y by under u, which the doubling back scales to under 2^(r+1) in
+    all; each of the N < P/14 + 4 series terms is off by under 1.21 and v
+    and the last product by under 1.01 each, all doubled back r + 1 times:
+    2^(r+1) (0.087 P + 9); the table entries and e ln 2, with the shift,
+    under (|e| + 1)(9.2 T + 128) 2^(P-T) + 1 < |e|/64 + 2, since
+    T - P >= 16 + bitlen(P).  With W = 2^bitlen(work) and
+    E = 2^bitlen(|e|) > |e|, and P < 2.01 W + E + 8, the sum stays below
+    2^(g-1) = 2^(r+7) W E, and the final rounding adds 1/2 unit of 2^-work.
+    """
+    if man <= 0 or work < 1:
+        raise ValueError("fixed_log needs man > 0 and work >= 1")
+    b = man.bit_length()
+    e = exp + b - 1
+    r = work // 640
+    P = work + r + work.bit_length() + abs(e).bit_length() + 8
+    X = man << (P - b + 1) if P >= b - 1 else man >> (b - 1 - P)
+    j = (X >> (P - 6)) - 64
+    y = (X << 6) // (64 + j)
+    for _ in range(r):
+        y = isqrt(y << P)
+    one = 1 << P
+    v = ((y - one) << P) // (y + one)
+    v2 = v * v >> P
+    v4 = v2 * v2 >> P
+    s0, s1, k = v, v // 3, 5
+    v = v * v4 >> P
+    while v:
+        s0 += v // k
+        s1 += v // (k + 2)
+        v = v * v4 >> P
+        k += 4
+    T = -(-(P + 16 + P.bit_length()) // 256) * 256
+    table = _anchor_logs(T)
+    acc = ((s0 + (s1 * v2 >> P)) << (r + 1)) + ((table[j] + e * table[64]) >> (T - P))
+    g = P - work
+    return (acc + (1 << (g - 1))) >> g
 
 
 # ---------------------------------------------------------------------------

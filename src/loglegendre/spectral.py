@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import mpmath as mp
 
 from .errors import HypothesisError, InternalCheckError, ParamError, PrecisionError
-from .exact import (DensePoly, crt_pair, first_dependency_mod, modular_prime,
+from .exact import (DensePoly, crt_pair, first_dependency_mod, fixed_log, modular_prime,
                     rational_reconstruction)
 from .legendre import ParamSet, _legendre_scaled
 
@@ -221,9 +221,13 @@ def characteristic_roots(params: ParamSet, precision: int = 512) -> SpectralData
     radius = max(r for _, _, r in refined)
     with mp.workprec(work):
         roots = [mp.mpc(mp.mpf((x, -work)), mp.mpf((y, -work))) for x, y, _ in refined]
-        # deterministic ordering by the companion values
-        roots, values = zip(*sorted(((y, _char_value_at(params, y, work)) for y in roots),
-                                    key=lambda yv: (-abs(yv[1]), mp.arg(yv[1]))))
+        values = [_char_value_at(params, y, work) for y in roots]
+        # deterministic ordering by the companion values; the argument only
+        # breaks ties of |v|, so it is computed inside those groups alone
+        mags = [abs(v) for v in values]
+        order = sorted(range(len(roots)), key=lambda h: (
+            -mags[h], mp.arg(values[h]) if mags.count(mags[h]) > 1 else 0))
+        roots, values = tuple(roots[h] for h in order), tuple(values[h] for h in order)
     return SpectralData(roots=roots, values=values, log_abs_values=(), log_v_max=None,
                         log_v_capped=None, log_threshold=None, precision=precision,
                         log2_root_radius=mp.mpf((radius - 1).bit_length() - 2 * work)
@@ -231,22 +235,30 @@ def characteristic_roots(params: ParamSet, precision: int = 512) -> SpectralData
 
 
 def _log_threshold(params: ParamSet, work: int) -> mp.mpf:
-    """log of p1^p1 q1^q1 M^M / ((p1+q1)^(2(p1+q1)) prod_{l>=2} (pl+ql)^(pl+ql))."""
+    """log of p1^p1 q1^q1 M^M / ((p1+q1)^(2(p1+q1)) prod_{l>=2} (pl+ql)^(pl+ql)),
+    as exact.fixed_log of the integer numerator less that of the integer
+    denominator: within 2^(1-work) before the rounding to work bits."""
     p1, q1 = params.p[0], params.q[0]
     M = params.total_degree
+    num = p1**p1 * q1**q1 * M**M
+    den = (p1 + q1) ** (p1 + q1) * prod((p + q) ** (p + q) for p, q in params.pairs())
     with mp.workprec(work):
-        tot = p1 * mp.log(p1) + M * mp.log(M)
-        if q1:
-            tot += q1 * mp.log(q1)
-        tot -= 2 * (p1 + q1) * mp.log(p1 + q1)
-        for p, q in params.pairs()[1:]:
-            tot -= (p + q) * mp.log(p + q)
-        return +tot
+        return mp.mpf((fixed_log(num, 0, work) - fixed_log(den, 0, work), -work))
 
 
 def char_values(params: ParamSet, spectral: SpectralData) -> SpectralData:
     """Fill in V, W and the threshold from the values of
-    :func:`characteristic_roots`; raises if the setup degenerates."""
+    :func:`characteristic_roots`; raises if the setup degenerates.
+
+    Error budget at work = precision + 64 bits, u = 2^-work: each v_h is
+    within (3M + 2n) 2^-14 u relative (:func:`_char_value_at`), which moves
+    log|v_h| by as much; |v_h| rounded to work bits and exact.fixed_log add
+    under u each, and the rounding of the log to work bits its size times
+    u.  The threshold is within 2u before its rounding
+    (:func:`_log_threshold`).  So every comparison is decided to far better
+    than the slack 2^-(precision/4), inside which a tie re-runs the roots at
+    twice the precision.
+    """
     precision = spectral.precision
     work = precision + 64
     values = spectral.values
@@ -258,7 +270,7 @@ def char_values(params: ParamSet, spectral: SpectralData) -> SpectralData:
     if any(v == 0 for v in values):
         raise HypothesisError("a characteristic value vanishes (root collides with some q_j)")
     with mp.workprec(work):
-        logs = [mp.log(abs(v)) for v in values]
+        logs = [mp.mpf((fixed_log(*abs(v).man_exp, work), -work)) for v in values]
         log_thr = _log_threshold(params, work)
         slack = mp.mpf(2) ** (-(precision // 4))
         if any(abs(lg - log_thr) < slack for lg in logs):

@@ -105,6 +105,17 @@ class TestBoundCommand:
         assert err.startswith(f"usage error: unknown config key {key!r}")
         assert out == ""
 
+    @pytest.mark.parametrize("text, key", [
+        ("z = -1\np = 4,5,3\nq = 1,2,0\nm = 1\nz = -3\n", "z"),
+        ("preset = log2-m1\npreset = hmv-n2\n", "preset")])
+    def test_repeated_config_key_is_usage_error(self, capsys, tmp_path, text, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "bound", "--config", str(cfg), "--precision", "128")
+        assert code == 2
+        assert err.startswith(f"usage error: config key {key!r} is given twice")
+        assert out == ""
+
     def test_missing_config_file_is_usage_error(self, capsys, tmp_path):
         missing = tmp_path / "absent.cfg"
         code, _, err = run(capsys, "bound", "--config", str(missing))

@@ -347,6 +347,18 @@ class TestGaussTables:
                 assert off(ct, mp.pi / 2 * mp.cot(mp.pi * k / m)) < 2 ** (3 * b + 3), (m, k)
 
 
+    def test_logsines_within_budget(self):
+        # the digamma budget allows 2^(2b+2) units of 2^-work per log-sine;
+        # mp.log of mp.sinpi is the independent oracle
+        work = 512
+        with mp.workprec(work + 64):
+            for m in range(2, 61):
+                bound = 2 ** (2 * m.bit_length() + 2)
+                for k, entry in enumerate(_gauss_tables(m, work)[2], start=1):
+                    want = mp.ldexp(mp.log(mp.sinpi(mp.mpf(k) / m)), work)
+                    assert abs(entry - want) < bound, (m, k)
+
+
 class TestDivisorRate:
     def test_example1(self, example1):
         val = divisor_rate(example1, 192)

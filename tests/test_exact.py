@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from loglegendre.exact import (
@@ -10,6 +11,7 @@ from loglegendre.exact import (
     crt_pair,
     decimal_digits,
     first_dependency_mod,
+    fixed_log,
     lcm_upto,
     modular_prime,
     primes_in_range,
@@ -99,6 +101,43 @@ class TestBinomial:
     def test_negative_lower_index_rejected(self):
         with pytest.raises(ValueError):
             binomial_integer(3, -1)
+
+
+class TestFixedLog:
+    @staticmethod
+    def cases(work):
+        rng = random.Random(work)
+        # exact powers of two, and man = 1 with huge and tiny exponents
+        out = [(1, e) for e in (0, 1, -1, 64, -work, 10**6, -10**6, 2**70, -(2**70))]
+        out += [(1 << k, -k + d) for k, d in ((5, 0), (100, 3), (3 * work, -7))]
+        # both sides of every anchor boundary 1 + j/64 and of 2 (j = 64)
+        for j in range(65):
+            a = (64 + j) << (work + 4)
+            out += [(a - 1, 0), (a, 0), (a + 1, 0)]
+        # log(2m) as in the digamma tables: arguments above 1
+        out += [(m, 1) for m in (2, 3, 41, 97, 4099)]
+        # mantissas shorter and longer than the precision, any exponent
+        out += [(rng.getrandbits(rng.randint(1, 3 * work)) | 1, rng.randint(-4 * work, 4 * work))
+                for _ in range(20)]
+        return out
+
+    @pytest.mark.parametrize("work", [64, 512, 1060, 2600, 4096])
+    def test_against_mpmath(self, work):
+        for man, exp in self.cases(work):
+            # the oracle carries 64 bits beyond work, plus the exponent's
+            # bits, which exp ln 2 would otherwise cost it
+            with mp.workprec(work + 64 + abs(exp).bit_length()):
+                want = mp.ldexp(mp.log(man) + exp * mp.ln2, work)
+                assert abs(fixed_log(man, exp, work) - want) < 1, (work, man, exp)
+
+    def test_one_is_zero(self):
+        assert [fixed_log(1, 0, w) for w in (1, 64, 4096)] == [0, 0, 0]
+        assert fixed_log(1 << 300, -300, 512) == 0
+
+    @pytest.mark.parametrize("man, work", [(0, 64), (-3, 64), (3, 0)])
+    def test_domain(self, man, work):
+        with pytest.raises(ValueError):
+            fixed_log(man, 0, work)
 
 
 class TestDensePoly:

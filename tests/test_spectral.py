@@ -419,6 +419,35 @@ class TestCharValues:
                         assert mp.arg(a) < mp.arg(b), (name, precision)
         assert pairs > 0
 
+    @pytest.mark.parametrize("precision", [64, 512])
+    def test_order_is_the_full_key_order(self, precision):
+        # the argument is computed only inside ties of |v|; the order stays
+        # that of the key (-|v|, arg v), on the presets and on an instance
+        # with a conjugate pair that is not a preset
+        extra = ParamSet(p=(5, 6, 3), q=(2, 2, 1), z=Fraction(-7, 3))
+        for params in [*preset_catalog().values(), extra]:
+            sd = characteristic_roots(params, precision)
+            with mp.workprec(precision + 64):
+                want = sorted(zip(sd.roots, sd.values),
+                              key=lambda yv: (-abs(yv[1]), mp.arg(yv[1])))
+                assert list(zip(sd.roots, sd.values)) == want, params
+        with mp.workprec(precision + 64):
+            a, b = characteristic_roots(extra, precision).values[1:]
+            assert a == mp.conj(b) and a.imag < 0
+
+    @pytest.mark.parametrize("name, ties", [("hmv-n2", 0), ("log2-m2", 2), ("log2019-m4", 4)])
+    def test_argument_only_for_ties(self, monkeypatch, name, ties):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return arg(x)
+
+        arg = mp.arg
+        monkeypatch.setattr(mp, "arg", counted)
+        characteristic_roots(preset_catalog()[name], 128)
+        assert len(calls) == ties
+
     def test_example1_fields(self, example1):
         sd = spectral_data(example1, 192)
         assert sd.precision == 192
