@@ -67,10 +67,8 @@ def _parse_int(value, key: str) -> int:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.replace(" ", "").split(",") if x != "")
-    except ValueError as exc:
-        raise ParamError(f"cannot parse integer list {text!r}") from exc
+    """Comma-separated integers; an entry may have spaces around it, not inside."""
+    return tuple(_parse_int(x, f"each entry of the list {text!r}") for x in text.split(","))
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -116,12 +114,8 @@ def _resolve_params(args) -> ParamSet:
     if not (z and p and q):
         raise ParamError("need --preset or all of --z, --p, --q")
     m = pick("m")
-    params = ParamSet(
-        p=_parse_int_list(p) if isinstance(p, str) else p,
-        q=_parse_int_list(q) if isinstance(q, str) else q,
-        z=_parse_rational(z) if isinstance(z, str) else z,
-        m=_parse_int(m, "m") if m is not None else None,
-    )
+    params = ParamSet(p=_parse_int_list(p), q=_parse_int_list(q), z=_parse_rational(z),
+                      m=_parse_int(m, "m") if m is not None else None)
     n = pick("n")
     if n is not None and _parse_int(n, "n") != params.n:
         raise ParamError(f"--n {n} contradicts the {params.n} exponent pairs given")
@@ -166,57 +160,43 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def _verify_structural(count, seed, lines) -> int:
-    failures = 0
+# each _verify_* suite yields one line per failure
+
+
+def _verify_structural(count, seed):
     for params, t in corpus.oracle_corpus(seed, count, max_weight=40):
         for rep in structural_identity_suite(params, t, grid_step=Fraction(1, 50)):
             if not rep.passed:
-                failures += 1
-                lines.append(f"  FAIL {rep.name} at p={params.p} q={params.q} "
-                             f"t={t}: {rep.witness}")
-    return failures
+                yield f"  FAIL {rep.name} at p={params.p} q={params.q} t={t}: {rep.witness}"
 
 
-def _verify_oracle(count, seed, lines) -> int:
-    failures = 0
+def _verify_oracle(count, seed):
     for params, t in corpus.oracle_corpus(seed, count, max_weight=50):
         if oracle_legendre(params, t) != legendre_poly(params, t):
-            failures += 1
-            lines.append(f"  FAIL oracle mismatch at p={params.p} q={params.q} t={t}")
-    return failures
+            yield f"  FAIL oracle mismatch at p={params.p} q={params.q} t={t}"
 
 
-def _verify_hyperharmonic(maximum, lines) -> int:
-    failures = 0
+def _verify_hyperharmonic(maximum):
     for j in range(maximum + 1):
         for k in range(maximum + 1):
             ok, lhs, rhs = hyperharmonic_identity(j, k)
             if not ok:
-                failures += 1
-                lines.append(f"  FAIL hyperharmonic j={j} k={k}: {lhs} != {rhs}")
-    return failures
+                yield f"  FAIL hyperharmonic j={j} k={k}: {lhs} != {rhs}"
 
 
-def _verify_derivative(count, seed, lines) -> int:
+def _verify_derivative(count, seed):
     rng = random.Random(seed)
-    failures = 0
-    for i in range(count):
+    for _ in range(count):
         poly = DensePoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 16))])
         if not derivative_series_identity(poly):
-            failures += 1
-            lines.append(f"  FAIL derivative-series on {list(poly.coeffs)}")
-    return failures
+            yield f"  FAIL derivative-series on {list(poly.coeffs)}"
 
 
-def _verify_integrality(count, seed, lines) -> int:
-    failures = 0
+def _verify_integrality(count, seed):
     for params, t in corpus.oracle_corpus(seed, count, max_weight=30, with_m=True):
         rec = build_record(params, t)
         if not strong_integrality_check(params, t, rec.transforms):
-            failures += 1
-            lines.append(f"  FAIL integrality at p={params.p} q={params.q} "
-                         f"m={params.m} t={t}")
-    return failures
+            yield f"  FAIL integrality at p={params.p} q={params.q} m={params.m} t={t}"
 
 
 def cmd_verify(args) -> int:
@@ -225,19 +205,18 @@ def cmd_verify(args) -> int:
     if args.max < 0:
         raise ParamError(f"--max must be at least 0, got {args.max}")
     suites = {
-        "structural": lambda L: _verify_structural(args.count, args.seed, L),
-        "oracle": lambda L: _verify_oracle(args.count, args.seed, L),
-        "hyperharmonic": lambda L: _verify_hyperharmonic(args.max, L),
-        "derivative": lambda L: _verify_derivative(args.count, args.seed, L),
-        "integrality": lambda L: _verify_integrality(max(4, args.count // 5), args.seed, L),
+        "structural": lambda: _verify_structural(args.count, args.seed),
+        "oracle": lambda: _verify_oracle(args.count, args.seed),
+        "hyperharmonic": lambda: _verify_hyperharmonic(args.max),
+        "derivative": lambda: _verify_derivative(args.count, args.seed),
+        "integrality": lambda: _verify_integrality(max(4, args.count // 5), args.seed),
     }
     chosen = suites if args.suite == "all" else {args.suite: suites[args.suite]}
     total = 0
     for name, run in chosen.items():
-        lines: list[str] = []
-        bad = run(lines)
-        total += bad
-        print(f"{name}: {'PASS' if bad == 0 else f'FAIL ({bad})'}")
+        lines = list(run())
+        total += len(lines)
+        print(f"{name}: {'PASS' if not lines else f'FAIL ({len(lines)})'}")
         for line in lines:
             print(line)
     return EXIT_OK if total == 0 else EXIT_INTERNAL
@@ -315,7 +294,7 @@ def cmd_delta(args) -> int:
         "divisor": decimal_digits(delta_t),
         "log_divisor_over_t": log_dt / t,
         "rate_limit": mp.nstr(limit, max(6, int(args.precision * 0.3010))),
-        "mu_profile": json.loads(floor_gain_profile(params).to_json()),
+        "mu_profile": floor_gain_profile(params).rows(),
     }
     _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
     return EXIT_OK

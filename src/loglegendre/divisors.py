@@ -26,7 +26,6 @@ processes (as the CLI does), not threads.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -112,12 +111,11 @@ class FloorGainProfile:
             raise ParamError("omega outside [0, 1)")
         return self.values[bisect_right(self.breakpoints, omega) - 1]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            [{"from": f"{a.numerator}/{a.denominator}",
-              "to": f"{b.numerator}/{b.denominator}",
-              "mu": v} for a, b, v in self.segments()],
-            indent=2)
+    def rows(self) -> list[dict]:
+        """The segments as rows {"from": "a/b", "to": "c/d", "mu": v}."""
+        return [{"from": f"{a.numerator}/{a.denominator}",
+                 "to": f"{b.numerator}/{b.denominator}",
+                 "mu": v} for a, b, v in self.segments()]
 
 
 @lru_cache(maxsize=64)

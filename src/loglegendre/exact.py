@@ -23,7 +23,7 @@ from __future__ import annotations
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, isqrt, prod
+from math import comb, gcd, isqrt, lcm, prod
 from typing import Iterable, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -280,11 +280,18 @@ class DensePoly:
             k >>= 1
         return out
 
-    def evaluate(self, x: Rational) -> Rational:
-        acc: Rational = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+    def evaluate(self, x: Rational) -> Fraction:
+        """P(x) as an exact rational: Horner's rule in integers on the cleared
+        coefficients and x = a/b, with one division at the end."""
+        if not self.coeffs:
+            return Fraction(0)
+        den, nums = self.cleared()
+        a, b = x.numerator, x.denominator
+        acc, bp = 0, 1
+        for c in reversed(nums):
+            acc = acc * a + c * bp
+            bp *= b
+        return Fraction(acc, den * bp // b)
 
     def compose_negative(self) -> "DensePoly":
         """Return P(-z)."""
@@ -330,11 +337,7 @@ class DensePoly:
 
     def content_denominator(self) -> int:
         """Positive lcm of coefficient denominators (1 for integer polys)."""
-        den = 1
-        for c in self.coeffs:
-            d = c.denominator
-            den = den // gcd(den, d) * d
-        return den
+        return lcm(*{c.denominator for c in self.coeffs})
 
     def cleared(self) -> tuple[int, list[int]]:
         """(den, nums), den the content denominator and nums the integer

@@ -296,15 +296,15 @@ def christoffel_transform(P: DensePoly) -> DensePoly:
 
     With P = (1/den) sum_k nums[k] z^k and big = lcm(1..d), the coefficient
     of z^i is sum_{k>i} nums[k] (big/(k-i)) / (den big), a Toeplitz product
-    computed by :func:`_toeplitz_tail`.
+    of the weights big/m of :func:`_iterate_weights` (j = 1), computed by
+    :func:`_toeplitz_tail`.
     """
     d = len(P.coeffs) - 1
     if d <= 0:
         return DensePoly()
     den, nums = P.cleared()
     big = lcm_upto(d)
-    inv = [0] + [big // j for j in range(1, d + 1)]  # big/j
-    out = _toeplitz_tail(nums, inv)
+    out = _toeplitz_tail(nums, _iterate_weights(d, 1, big))
     full_den = den * big
     return DensePoly([Fraction(c, full_den) for c in out])
 
@@ -372,19 +372,17 @@ def _iterate_weights(d: int, j: int, big: int) -> list[int]:
     z^m coefficient of (-log(1-z))^j; a_1(m) = 1/m.  With
     e_r(m) = e_r(1, 1/2, ..., 1/(m-1)) the elementary symmetric functions,
     a_j(m) = j! e_(j-1)(m) / m, and E_r(m) = big^r e_r(m) are integers for
-    big = lcm(1..d) obeying E_r(m+1) = E_r(m) + E_(r-1)(m) big/m.
+    big = lcm(1..d) obeying E_r(1) = 0 and E_r(m+1) = E_r(m) + E_(r-1)(m) big/m
+    (r >= 1).  So the rows X_r(m) = j! E_r(m) big/m start at
+    X_0(m) = j! big/m, and X_r(m) is big/m times the sum of X_(r-1) below m;
+    the weights are X_(j-1).  The rows are chained generators, so only the
+    last one is ever held.
     """
-    if j == 1:
-        return [0] + [big // m for m in range(1, d + 1)]
-    E = [1] + [0] * (j - 1)  # E_0(m), ..., E_(j-1)(m), starting at m = 1
-    jf = factorial(j)
-    out = [0]
-    for m in range(1, d + 1):
-        inv = big // m
-        out.append(jf * E[j - 1] * inv)
-        for r in range(j - 1, 0, -1):
-            E[r] += E[r - 1] * inv
-    return out
+    top = factorial(j) * big
+    row = (top // m for m in range(1, d + 1))
+    for _ in range(j - 1):
+        row = (s * (big // m) for m, s in zip(range(1, d + 1), accumulate(row, initial=0)))
+    return [0, *row]
 
 
 def christoffel_value(P: DensePoly, z: Fraction, j: int = 1) -> Fraction:
@@ -417,17 +415,7 @@ def christoffel_value(P: DensePoly, z: Fraction, j: int = 1) -> Fraction:
 
 def eval_at_rational(P: DensePoly, z: Fraction) -> Fraction:
     """P(z) as an exact rational (integer-arithmetic Horner)."""
-    d = len(P.coeffs) - 1
-    if d < 0:
-        return Fraction(0)
-    den, nums = P.cleared()
-    a, b = z.numerator, z.denominator
-    acc = 0
-    bp = 1
-    for k in range(d, -1, -1):
-        acc = acc * a + nums[k] * bp
-        bp *= b
-    return Fraction(acc, den * b**d)
+    return P.evaluate(z)
 
 
 # ---------------------------------------------------------------------------

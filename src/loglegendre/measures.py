@@ -12,6 +12,9 @@ positive, every integer polynomial P of degree at most m satisfies
 degree at most m approximate log(z/(z-1)) no better than exponent
 growth/decay + 1.  Hypotheses are validated and failures reported with a
 human-readable cause.
+
+With z = a/b the logs of the core are one exact log,
+log(b^M / (|a|^q_1 |b-a|^p_1)), taken by spectral.log_ratio on integers.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .divisors import (
 )
 from .errors import HypothesisError, ParamError
 from .legendre import ParamSet
-from .spectral import SpectralData, spectral_data
+from .spectral import SpectralData, log_ratio, spectral_data
 
 DEFAULT_PRECISION = 512
 
@@ -38,7 +41,6 @@ DEFAULT_PRECISION = 512
 class MeasureReport:
     params: ParamSet
     precision: int
-    lcm_exponents: tuple[Fraction, ...]   # N_1..N_m actually used
     divisor_rate: mp.mpf                  # limit of (1/t) log Delta_t
     log_v_max: mp.mpf                     # log V
     log_v_capped: mp.mpf                  # log W
@@ -50,6 +52,11 @@ class MeasureReport:
     flags: dict
     spectral: SpectralData
     profile: FloorGainProfile
+
+    @property
+    def lcm_exponents(self) -> tuple[Fraction, ...]:
+        """N_1..N_m, the lcm exponents the core sums."""
+        return exponent_profile(self.params).lcm_exponents[: self.params.m]
 
     def to_dict(self) -> dict:
         dps = max(6, int(self.precision * 0.3010)) + 2
@@ -69,7 +76,7 @@ class MeasureReport:
             "poly_exponent": s(self.poly_exponent),
             "approx_exponent": s(self.approx_exponent),
             "flags": self.flags,
-            "mu_profile": json.loads(self.profile.to_json()),
+            "mu_profile": self.profile.rows(),
         }
 
     def to_json(self) -> str:
@@ -94,12 +101,18 @@ class MeasureReport:
         return "\n".join(lines)
 
 
+def _boundary_denominator(params: ParamSet) -> int:
+    """|a|^q_1 |b-a|^p_1 for z = a/b: b^(p_1+q_1) |z|^q_1 |1-z|^p_1."""
+    a, b = params.z.numerator, params.z.denominator
+    return abs(a) ** params.q[0] * abs(b - a) ** params.p[0]
+
+
 def boundary_rate(params: ParamSet) -> mp.mpf:
     """-q_1 log|z| - p_1 log|1-z| at the current working precision: the rate
-    of the factor z^(-q_1 t) (1-z)^(-p_1 t) that reduces the log forms."""
-    z = params.z
-    return (-params.q[0] * mp.log(abs(mp.mpf(z.numerator)) / z.denominator)
-            - params.p[0] * mp.log(abs(mp.mpf((1 - z).numerator)) / (1 - z).denominator))
+    of the factor z^(-q_1 t) (1-z)^(-p_1 t) that reduces the log forms, as
+    the log of b^(p_1+q_1) / (|a|^q_1 |b-a|^p_1) for z = a/b."""
+    return log_ratio(params.z.denominator ** (params.p[0] + params.q[0]),
+                     _boundary_denominator(params))
 
 
 def growth_decay_rates(params: ParamSet, delta, log_v_max, log_v_capped,
@@ -107,20 +120,12 @@ def growth_decay_rates(params: ParamSet, delta, log_v_max, log_v_capped,
     """The (growth, decay) exponent pair; raises when either is nonpositive."""
     if params.m is None:
         raise ParamError("measure computation needs the form order m")
-    prof = exponent_profile(params)
-    b = params.z.denominator
-    p1, q1 = params.p[0], params.q[0]
-    M = params.total_degree
+    nsum = sum(exponent_profile(params).lcm_exponents[: params.m])
     with mp.workprec(precision + 16):
-        nsum = Fraction(0)
-        for j in range(1, params.m + 1):
-            nsum += prof.lcm_exponents[j - 1]
-        core = (
-            boundary_rate(params)
-            + mp.mpf(nsum.numerator) / nsum.denominator
-            - delta
-            + (M - p1 - q1) * mp.log(b)
-        )
+        # the boundary rate plus (M - p_1 - q_1) log b, as one exact log
+        core = (log_ratio(params.z.denominator ** params.total_degree,
+                          _boundary_denominator(params))
+                + mp.mpf(nsum.numerator) / nsum.denominator - delta)
         growth = +(log_v_max + core)
         decay = +(-(log_v_capped + core))
     if growth <= 0 or decay <= 0:
@@ -145,8 +150,6 @@ def measure_bound(params: ParamSet, precision: int = DEFAULT_PRECISION) -> Measu
         raise ParamError("measure computation needs the form order m")
     if params.n < 2:
         raise ParamError("measure computation needs n >= 2")
-    flags = {"monotonicity": True}  # enforced by ParamSet construction
-
     profile = floor_gain_profile(params)
     delta = divisor_rate(params, precision)
 
@@ -158,28 +161,22 @@ def measure_bound(params: ParamSet, precision: int = DEFAULT_PRECISION) -> Measu
             abs(values[i] - values[j])
             > mp.mpf(2) ** (-(precision // 4)) * max(abs(values[i]), abs(values[j]))
             for i in range(len(values)) for j in range(i + 1, len(values)))
-    flags["distinct_char_values"] = sep_ok
     if not sep_ok:
         raise HypothesisError(
             "characteristic values are not pairwise distinct; the recurrence "
             "asymptotics underpinning the bound do not apply")
-    flags["capped_value_defined"] = spectral.log_v_capped is not None
 
     growth, decay = growth_decay_rates(
         params, delta, spectral.log_v_max, spectral.log_v_capped, precision)
-    flags["growth_positive"] = True
-    flags["decay_positive"] = True
 
     with mp.workprec(precision + 16):
         ratio = growth / decay
         poly_exp = _round_outward(ratio, precision)
         approx_exp = _round_outward(ratio + 1, precision)
 
-    prof = exponent_profile(params)
     return MeasureReport(
         params=params,
         precision=precision,
-        lcm_exponents=tuple(prof.lcm_exponents[: params.m]),
         divisor_rate=delta,
         log_v_max=spectral.log_v_max,
         log_v_capped=spectral.log_v_capped,
@@ -188,7 +185,11 @@ def measure_bound(params: ParamSet, precision: int = DEFAULT_PRECISION) -> Measu
         decay_rate=decay,
         poly_exponent=poly_exp,
         approx_exponent=approx_exp,
-        flags=flags,
+        # a returned report has passed every check, since each failed one
+        # raises; monotonicity is enforced by ParamSet construction
+        flags={"monotonicity": True, "distinct_char_values": True,
+               "capped_value_defined": True, "growth_positive": True,
+               "decay_positive": True},
         spectral=spectral,
         profile=profile,
     )

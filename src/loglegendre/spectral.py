@@ -24,7 +24,7 @@ early is passed over, and running out of primes raises InternalCheckError.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from math import isqrt, lcm, prod
@@ -55,17 +55,18 @@ def characteristic_polynomial(params: ParamSet) -> DensePoly:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Roots y_h and values v_h, ordered by descending |v| (ties by argument)."""
+    """Roots y_h and values v_h, ordered by descending |v| (ties by argument);
+    :func:`char_values` fills in the logs."""
 
     roots: tuple          # mpc roots y_h
     values: tuple         # mpc values v_h
-    log_abs_values: tuple  # mpf log|v_h|
-    log_v_max: Optional[mp.mpf]      # log V = log max|v_h|
-    log_v_capped: Optional[mp.mpf]   # log W = log max{|v_h| : |v_h| <= threshold}
-    log_threshold: Optional[mp.mpf]  # log of the admissible-size threshold
     precision: int
     # log2 of the largest root inclusion radius n |f(y_h) / f'(y_h)|
     log2_root_radius: Optional[mp.mpf] = None
+    log_abs_values: tuple = ()               # mpf log|v_h|
+    log_v_max: Optional[mp.mpf] = None       # log V = log max|v_h|
+    log_v_capped: Optional[mp.mpf] = None    # log W = log max{|v_h| : |v_h| <= threshold}
+    log_threshold: Optional[mp.mpf] = None   # log of the admissible-size threshold
 
 
 def _mul(a: tuple, b: tuple, bits: int) -> tuple:
@@ -228,22 +229,27 @@ def characteristic_roots(params: ParamSet, precision: int = 512) -> SpectralData
         order = sorted(range(len(roots)), key=lambda h: (
             -mags[h], mp.arg(values[h]) if mags.count(mags[h]) > 1 else 0))
         roots, values = tuple(roots[h] for h in order), tuple(values[h] for h in order)
-    return SpectralData(roots=roots, values=values, log_abs_values=(), log_v_max=None,
-                        log_v_capped=None, log_threshold=None, precision=precision,
+    return SpectralData(roots=roots, values=values, precision=precision,
                         log2_root_radius=mp.mpf((radius - 1).bit_length() - 2 * work)
                         if radius else mp.ninf)
 
 
-def _log_threshold(params: ParamSet, work: int) -> mp.mpf:
-    """log of p1^p1 q1^q1 M^M / ((p1+q1)^(2(p1+q1)) prod_{l>=2} (pl+ql)^(pl+ql)),
-    as exact.fixed_log of the integer numerator less that of the integer
-    denominator: within 2^(1-work) before the rounding to work bits."""
+def log_ratio(num: int, den: int) -> mp.mpf:
+    """log(num/den) for positive ints at the working precision w, as
+    exact.fixed_log of num less that of den: within 2^(1-w) before the
+    rounding to w bits."""
+    work = mp.mp.prec
+    return mp.mpf((fixed_log(num, 0, work) - fixed_log(den, 0, work), -work))
+
+
+def _log_threshold(params: ParamSet) -> mp.mpf:
+    """log of p1^p1 q1^q1 M^M / ((p1+q1)^(2(p1+q1)) prod_{l>=2} (pl+ql)^(pl+ql))
+    at the working precision, by :func:`log_ratio`."""
     p1, q1 = params.p[0], params.q[0]
     M = params.total_degree
     num = p1**p1 * q1**q1 * M**M
     den = (p1 + q1) ** (p1 + q1) * prod((p + q) ** (p + q) for p, q in params.pairs())
-    with mp.workprec(work):
-        return mp.mpf((fixed_log(num, 0, work) - fixed_log(den, 0, work), -work))
+    return log_ratio(num, den)
 
 
 def char_values(params: ParamSet, spectral: SpectralData) -> SpectralData:
@@ -271,7 +277,7 @@ def char_values(params: ParamSet, spectral: SpectralData) -> SpectralData:
         raise HypothesisError("a characteristic value vanishes (root collides with some q_j)")
     with mp.workprec(work):
         logs = [mp.mpf((fixed_log(*abs(v).man_exp, work), -work)) for v in values]
-        log_thr = _log_threshold(params, work)
+        log_thr = _log_threshold(params)
         slack = mp.mpf(2) ** (-(precision // 4))
         if any(abs(lg - log_thr) < slack for lg in logs):
             # a value sits on the threshold; re-run everything sharper
@@ -282,16 +288,9 @@ def char_values(params: ParamSet, spectral: SpectralData) -> SpectralData:
         below = [lg for lg in logs if lg <= log_thr]
         if not below:
             raise HypothesisError("no characteristic value below the size threshold")
-        return SpectralData(
-            roots=spectral.roots,
-            values=values,
-            log_abs_values=tuple(+lg for lg in logs),
-            log_v_max=+max(logs),
-            log_v_capped=+max(below),
-            log_threshold=+log_thr,
-            precision=precision,
-            log2_root_radius=spectral.log2_root_radius,
-        )
+        return replace(spectral, log_abs_values=tuple(+lg for lg in logs),
+                       log_v_max=+max(logs), log_v_capped=+max(below),
+                       log_threshold=+log_thr)
 
 
 def spectral_data(params: ParamSet, precision: int = 512) -> SpectralData:
@@ -443,9 +442,7 @@ def _verify_witness(scaled: list[list[int]], witness: RecurrenceWitness,
     checked on the integer multiple that clears the denominators."""
     if witness.is_trivial():
         return False
-    den = 1
-    for poly in witness.coefficients:
-        den = lcm(den, poly.content_denominator())
+    den = lcm(*(poly.content_denominator() for poly in witness.coefficients))
     acc = [0] * rows
     for l, poly in enumerate(witness.coefficients):
         for i, a in enumerate(poly.coeffs):

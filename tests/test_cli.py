@@ -139,6 +139,35 @@ class TestBoundCommand:
         assert "usage error" in err and "Traceback" not in err
         assert out == ""
 
+    @staticmethod
+    def instance_argv(tmp_path, where, **given):
+        """The flags of an instance, or a config file holding the same keys."""
+        if where == "flags":
+            return [arg for key, value in given.items() for arg in (f"--{key}", value)]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in given.items()))
+        return ["--config", str(cfg)]
+
+    @pytest.mark.parametrize("where", ["flags", "config"])
+    @pytest.mark.parametrize("p, q, bad", [
+        ("4 5 3", "1 2 0", "4 5 3"),  # once read as the one pair p = 453, q = 120
+        ("4,,5,3", "1,2,0", "4,,5,3"), ("4,5,3,", "1,2,0", "4,5,3,"),
+        ("4,5,3", ",1,2,0", ",1,2,0"), ("4,5,3", "1, 2 0", "1, 2 0"),
+        ("4,\t5,3 3", "1,2,0", "4,\t5,3 3")])
+    def test_loose_integer_list_is_usage_error(self, capsys, tmp_path, where, p, q, bad):
+        argv = self.instance_argv(tmp_path, where, z="-1", p=p, q=q)
+        code, out, err = run(capsys, "construct", *argv)
+        assert code == 2
+        assert err.startswith("usage error:") and repr(bad) in err
+        assert out == ""
+
+    @pytest.mark.parametrize("where", ["flags", "config"])
+    def test_spaces_around_list_entries_accepted(self, capsys, tmp_path, where):
+        argv = self.instance_argv(tmp_path, where, z="-1", p="4, 5 ,3", q=" 1,2,\t0", m="1")
+        code, out, _ = run(capsys, "bound", *argv, "--precision", "128")
+        assert code == 0
+        assert json.loads(out)["params"]["p"] == [4, 5, 3]
+
     @pytest.mark.parametrize("where", ["missing-dir", "directory"])
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path, where):
         target = tmp_path / "absent" / "report.json" if where == "missing-dir" else tmp_path

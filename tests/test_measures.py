@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -11,6 +12,10 @@ from loglegendre.measures import (
     measure_bound,
     preset_catalog,
 )
+
+# MeasureReport.to_dict() of every preset at 512 bits, frozen before the
+# bound core was moved onto exact.fixed_log
+BOUND_512 = Path(__file__).resolve().parent / "data" / "bound_512.json"
 
 
 class TestGrowthDecayRates:
@@ -135,3 +140,19 @@ class TestPresets:
         for name, params in preset_catalog().items():
             assert params.n >= 2, name
             assert params.m is not None, name
+
+
+class TestFrozenReports:
+    def test_presets_at_512_bits(self):
+        frozen = json.loads(BOUND_512.read_text())
+        assert set(frozen) == set(preset_catalog())
+        for name, params in preset_catalog().items():
+            assert measure_bound(params, 512).to_dict() == frozen[name], name
+
+    def test_bound_path_calls_no_mpmath_log(self, monkeypatch):
+        calls = []
+        real_log = mp.log
+        monkeypatch.setattr(mp, "log", lambda *a, **k: calls.append(a) or real_log(*a, **k))
+        for params in preset_catalog().values():
+            measure_bound(params, 256)
+        assert calls == []
