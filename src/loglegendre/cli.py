@@ -49,21 +49,35 @@ EXIT_OK, EXIT_BROKEN_PIPE, EXIT_USAGE, EXIT_HYPOTHESIS, EXIT_INTERNAL = 0, 1, 2,
 INSTANCE_KEYS = ("preset", "z", "p", "q", "m", "n")  # the flags and config keys of an instance
 
 
+def _parse_int(value: str, key: str) -> int:
+    """An integer: an optional sign and ASCII digits, with spaces around them at most."""
+    text = value.strip()
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParamError(f"{key} must be an integer (optional sign, ASCII digits), got {value!r}")
+    try:
+        return int(text)
+    except ValueError as exc:  # past the int-str digit limit
+        raise ParamError(f"{key} has too many digits") from exc
+
+
+def _int_flag(text: str) -> int:
+    """The argparse type of the integer flags."""
+    try:
+        return _parse_int(text, "the value")
+    except ParamError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_rational(text: str) -> Fraction:
-    text = text.strip()
-    if "." in text:
-        raise ParamError("z must be an exact rational 'a/b', not a decimal")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParamError(f"cannot parse rational {text!r}") from exc
-
-
-def _parse_int(value, key: str) -> int:
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ParamError(f"{key} must be an integer, got {value!r}") from exc
+    """z: an integer, or an integer, '/' and an integer, with spaces around it at most."""
+    if len(text.split()) != 1:
+        raise ParamError(f"z must be an exact rational 'a/b', got {text!r}")
+    num, sep, den = text.strip().partition("/")
+    b = _parse_int(den, "the denominator of z") if sep else 1
+    if b == 0:
+        raise ParamError("the denominator of z must not be 0")
+    return Fraction(_parse_int(num, "the numerator of z" if sep else "z"), b)
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -256,12 +270,8 @@ def cmd_asymptotics(args) -> int:
         with mp.workprec(128):
             target = float(sd.log_v_capped + boundary_rate(params))
     rel = abs(slope - target) / abs(target) if target else float("inf")
-    rows = ["t,log_windowed_max"]
-    for i, v in enumerate(wmax):
-        rows.append(f"{i + 1},{v!r}")
-    rows.append(f"slope,{slope!r}")
-    rows.append(f"target,{target!r}")
-    rows.append(f"relative_error,{rel!r}")
+    rows = ["t,log_windowed_max", *(f"{i},{v!r}" for i, v in enumerate(wmax, start=1)),
+            f"slope,{slope!r}", f"target,{target!r}", f"relative_error,{rel!r}"]
     _emit("\n".join(rows), args.out)
     return EXIT_OK
 
@@ -272,13 +282,10 @@ def _worker_count(requested: int) -> int:
 
 
 def cmd_construct(args) -> int:
-    params = _resolve_params(args)
-    t = args.t
-    rec = build_record(params, t)
+    rec = build_record(_resolve_params(args), args.t)
     parts = [rec.L.render()]
     for i, tr in enumerate(rec.transforms, start=1):
-        parts.append(f"# transform {i}")
-        parts.append(tr.render())
+        parts += [f"# transform {i}", tr.render()]
     _emit("\n".join(parts), args.out)
     return EXIT_OK
 
@@ -315,8 +322,8 @@ def _add_instance_flags(sp):
     sp.add_argument("--preset")
     sp.add_argument("--config", help="flat key=value file; flags override")
     sp.add_argument("--z", help="exact rational a/b (no decimals)")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--m", type=int)
+    sp.add_argument("--n")
+    sp.add_argument("--m")
     sp.add_argument("--p", help="comma-separated positive integers")
     sp.add_argument("--q", help="comma-separated nonnegative integers")
 
@@ -330,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bound", help="compute a measure report")
     _add_instance_flags(sp)
-    sp.add_argument("--precision", type=int, default=512)
+    sp.add_argument("--precision", type=_int_flag, default=512)
     sp.add_argument("--format", choices=("json", "csv", "table"), default="json")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_bound)
@@ -339,31 +346,31 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suite", default="all",
                     choices=("all", "structural", "oracle", "hyperharmonic",
                              "derivative", "integrality"))
-    sp.add_argument("--count", type=int, default=25)
-    sp.add_argument("--max", type=int, default=25, help="hyperharmonic j,k range")
-    sp.add_argument("--seed", type=int, default=20240901)
+    sp.add_argument("--count", type=_int_flag, default=25)
+    sp.add_argument("--max", type=_int_flag, default=25, help="hyperharmonic j,k range")
+    sp.add_argument("--seed", type=_int_flag, default=20240901)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("asymptotics", help="growth-rate experiment over t")
     _add_instance_flags(sp)
     sp.add_argument("--sequence", choices=("L", "I"), default="L")
-    sp.add_argument("--t-max", dest="t_max", type=int)
-    sp.add_argument("--precision", type=int, default=64)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--t-max", dest="t_max", type=_int_flag)
+    sp.add_argument("--precision", type=_int_flag, default=64)
+    sp.add_argument("--threads", type=_int_flag, default=1)
     sp.add_argument("--format", choices=("csv",), default="csv")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_asymptotics)
 
     sp = sub.add_parser("construct", help="dump a polynomial in canonical text form")
     _add_instance_flags(sp)
-    sp.add_argument("--t", type=int, default=1)
+    sp.add_argument("--t", type=_int_flag, default=1)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_construct)
 
     sp = sub.add_parser("delta", help="guaranteed divisor and its growth rate")
     _add_instance_flags(sp)
-    sp.add_argument("--t", type=int, default=1)
-    sp.add_argument("--precision", type=int, default=128)
+    sp.add_argument("--t", type=_int_flag, default=1)
+    sp.add_argument("--precision", type=_int_flag, default=128)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_delta)
 

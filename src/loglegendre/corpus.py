@@ -22,17 +22,12 @@ def random_paramset(rng: random.Random, max_weight: int = 60,
         m = None
         if with_m:
             m = rng.randint(1, n - 1)
-            head_p = sorted(p[: m + 1])
-            head_q = sorted(q[: m + 1])
-            p[: m + 1] = head_p
-            q[: m + 1] = head_q
+            p[: m + 1], q[: m + 1] = sorted(p[: m + 1]), sorted(q[: m + 1])
         weight = sum(p) + sum(q)
         if weight > max_weight:
             continue
         t = rng.randint(1, max(1, max_weight // weight))
         z = Fraction(-rng.randint(1, 9), rng.randint(1, 9))
-        if z.denominator == 1:
-            z = Fraction(z.numerator)
         return ParamSet(p=tuple(p), q=tuple(q), z=z, m=m), t
 
 

@@ -6,7 +6,9 @@ The polynomials are built by composing differential operators
 
 where D_m is the m-th derivative divided by m!.  Applying D[p_1*t, q_1*t]
 after ... after D[p_n*t, q_n*t] to the constant 1 yields an integer
-polynomial of degree M*t with M = sum(p_l + q_l).  The transform
+polynomial of degree M*t with M = sum(p_l + q_l).  One loop carries the
+composition as z^s (1-z)^e c (see :func:`_compose`); L and the reduced
+polynomial are read from its last state.  The transform
 
     T(P)(z) = integral_0^1 (P(z) - P(y)) / (z - y) dy
 
@@ -49,7 +51,7 @@ from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_DOWN, Context, Decimal
 from fractions import Fraction
 from itertools import accumulate, permutations
-from math import factorial
+from math import comb, factorial, prod
 from typing import Optional, Sequence
 
 import mpmath as mp
@@ -86,9 +88,12 @@ class ParamSet:
         p, q = tuple(self.p), tuple(self.q)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "z", Fraction(self.z))
         if not p or len(p) != len(q):
             raise ParamError("p and q must be nonempty tuples of equal length")
+        if not (all(isinstance(x, int) for x in p + q + (self.m or 0,))
+                and isinstance(self.z, (int, Fraction))):
+            raise ParamError("p, q and m must be ints, and z an int or a Fraction")
+        object.__setattr__(self, "z", Fraction(self.z))
         if any(x <= 0 for x in p):
             raise ParamError("all p_j must be positive")
         if any(x < 0 for x in q):
@@ -152,43 +157,42 @@ def _mul_one_minus_z_pow(c: list[int], k: int) -> list[int]:
     return c
 
 
-def _dpq_core(p: int, q: int, c: list[int]) -> list[int]:
-    """D_{p+q}( z^p (1-z)^q c ) for an integer coefficient list c: the part of
-    D[p,q] inside the boundary factor z^q (1-z)^p."""
-    x = _mul_one_minus_z_pow(c, q)
-    m = p + q
-    # coefficient j of x contributes C(j+p, m) at z^{j-q}, nothing for j < q
-    y = []
-    b = 1  # C(q+p, m) = 1, then C(j+p+1, m) = C(j+p, m)(j+p+1)/(j+p+1-m)
-    jp = q + p
-    for j in range(q, len(x)):
-        y.append(b * x[j])
-        b = b * (jp + 1) // (jp + 1 - m)
-        jp += 1
-    return y
+def _compose(pairs: Sequence[tuple[int, int]], t: int) -> tuple[int, int, list[int]]:
+    """(s, e, c) with z^s (1-z)^e c the composition of D[p_l t, q_l t] over
+    pairs applied to 1, the last pair innermost.
 
-
-def _dpq_int(p: int, q: int, c: list[int]) -> list[int]:
-    """Apply D[p,q] to an integer coefficient list; closed over the integers."""
-    return [0] * q + _mul_one_minus_z_pow(_dpq_core(p, q, c), p)
+    D[p,q] maps z^s (1-z)^e c to z^q (1-z)^p D_{p+q}( z^(p+s) x ), x =
+    (1-z)^(q+e) c, and D_{p+q} sends z^(p+s+j) to C(j+p+s, p+q) z^(j+s-q),
+    zero for j < q-s.  So the state becomes (max(s, q), p, [C(j+p+s, p+q) x_j
+    for j >= max(0, q-s)]), p+q higher in degree (the top binomial is > 0).
+    """
+    s, e, c = 0, 0, [1]
+    for p, q in reversed(pairs):
+        p, q = p * t, q * t
+        x = _mul_one_minus_z_pow(c, q + e)
+        j0 = max(0, q - s)
+        m, k = p + q, j0 + p + s
+        b = comb(k, m)  # C(k, m), then C(k+1, m) = C(k, m)(k+1)/(k+1-m)
+        c = []
+        for xj in x[j0:]:
+            c.append(b * xj)
+            k += 1
+            b = b * k // (k - m)
+        s, e = max(s, q), p
+    return s, e, c
 
 
 def _legendre_scaled(pairs: Sequence[tuple[int, int]], t: int) -> list[int]:
     """Integer coefficients of the composition over (p_l*t, q_l*t), last pair innermost."""
-    c = [1]
-    for p, q in reversed(list(pairs)):
-        c = _dpq_int(p * t, q * t, c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+    s, e, c = _compose(pairs, t)
+    return [0] * s + _mul_one_minus_z_pow(c, e)
 
 
 def legendre_poly(params: ParamSet, t: int) -> DensePoly:
     """The multiple Legendre polynomial at scale t; integer coefficients, degree M*t."""
     if t < 1:
         raise ParamError("t must be >= 1")
-    coeffs = _legendre_scaled(params.pairs(), t)
-    poly = DensePoly(coeffs)
+    poly = DensePoly(_legendre_scaled(params.pairs(), t))
     if poly.degree != params.total_degree * t:
         raise InternalCheckError(
             f"degree {poly.degree} != {params.total_degree * t} after construction"
@@ -199,17 +203,16 @@ def legendre_poly(params: ParamSet, t: int) -> DensePoly:
 def legendre_reduced(params: ParamSet, t: int) -> DensePoly:
     """The reduced polynomial (-1)^(q_1 t) z^(-q_1 t) (1-z)^(-p_1 t) L.
 
-    The outermost operator D[p_1 t, q_1 t] puts the factor z^(q_1 t)
-    (1-z)^(p_1 t) around D_{(p_1+q_1) t}(...), so the reduced polynomial is
-    that inner part applied to the composition of the other pairs, signed.
+    The outermost operator D[p_1 t, q_1 t] leaves the composition as
+    z^s (1-z)^(p_1 t) c with s >= q_1 t, so the reduced polynomial is
+    z^(s - q_1 t) c, signed.
     """
     if t < 1:
         raise ParamError("t must be >= 1")
-    (p1, q1), *rest = params.pairs()
-    core = _dpq_core(p1 * t, q1 * t, _legendre_scaled(rest, t))
-    if q1 * t % 2:
-        core = [-c for c in core]
-    return DensePoly(core)
+    s, _, c = _compose(params.pairs(), t)
+    q1t = params.q[0] * t
+    reduced = DensePoly([0] * (s - q1t) + c)
+    return -reduced if q1t % 2 else reduced
 
 
 # ---------------------------------------------------------------------------
@@ -522,19 +525,13 @@ def check_pair_symmetry(params: ParamSet, t: int, rng: random.Random) -> Identit
     perms = ([tuple(rng.sample(idx, len(idx))) for _ in range(trials)] if trials
              else list(permutations(idx)))
     for perm in perms:
-        p = tuple(params.p[i] for i in perm)
-        q = tuple(params.q[i] for i in perm)
-        other = DensePoly(_legendre_scaled(list(zip(p, q)), t))
-        if other != base:
+        if DensePoly(_legendre_scaled([params.pairs()[i] for i in perm], t)) != base:
             return IdentityReport("pair-symmetry", False, f"permutation {perm}")
     return IdentityReport("pair-symmetry", True)
 
 
 def _factorial_multiplier(p: Sequence[int], q: Sequence[int], t: int) -> int:
-    out = 1
-    for a, b in zip(p, q):
-        out *= factorial((a + b) * t)
-    return out
+    return prod(factorial((a + b) * t) for a, b in zip(p, q))
 
 
 def check_bisymmetry(params: ParamSet, t: int, rng: random.Random) -> IdentityReport:

@@ -394,8 +394,7 @@ def recurrence_witness(params: ParamSet, t: int) -> RecurrenceWitness:
     sizes = [Lbound + M * (n - l) + 1 for l in range(n + 1)]  # columns per l
     if sum(sizes) > WITNESS_MAX_COLUMNS or rows > WITNESS_MAX_ROWS:
         raise ParamError("instance too large for exact elimination")
-    scaled = [_legendre_scaled(params.pairs(), t + l) if t + l >= 1 else [1]
-              for l in range(n + 1)]
+    scaled = [_legendre_scaled(params.pairs(), t + l) for l in range(n + 1)]
     columns = []
     for l, size in enumerate(sizes):
         for i in range(size):

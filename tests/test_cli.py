@@ -12,6 +12,15 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_exit(capsys, *argv):
+    """run(), with argparse's exit on a usage error read as the exit code."""
+    try:
+        return run(capsys, *argv)
+    except SystemExit as exc:
+        out = capsys.readouterr()
+        return exc.code, out.out, out.err
+
+
 class TestPresetsCommand:
     def test_lists_all(self, capsys):
         code, out, _ = run(capsys, "presets")
@@ -325,6 +334,60 @@ class TestAsymptoticsCommand:
         assert code == 2
         assert "usage error" in err and "Traceback" not in err
         assert out == ""
+
+
+class TestNumberGrammar:
+    """An integer is an optional sign and ASCII digits, and z is an integer
+    or an integer, '/' and an integer; spaces may surround a number only."""
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--preset", "hmv-n2", "--t", "1_0"],
+        ["delta", "--preset", "hmv-n2", "--t", "\u0661"],
+        ["bound", "--preset", "hmv-n2", "--precision", "1_28"],
+        ["delta", "--preset", "hmv-n2", "--precision", "\u0661\u0662\u0668"],
+        ["verify", "--suite", "oracle", "--count", "\u0661"],
+        ["verify", "--suite", "hyperharmonic", "--max", "2_5"],
+        ["verify", "--suite", "oracle", "--seed", "0_1"],
+        ["asymptotics", "--preset", "hmv-n2", "--t-max", "1_0"],
+        ["asymptotics", "--preset", "hmv-n2", "--t-max", "8", "--threads", "0_1"],
+        ["construct", "--preset", "hmv-n2", "--t", "+"],
+        ["construct", "--preset", "hmv-n2", "--t", "1 0"],
+        ["delta", "--preset", "hmv-n2", "--precision", "1" * 5000],
+    ])
+    def test_loose_integer_flag_is_usage_error(self, capsys, argv):
+        code, out, err = run_exit(capsys, *argv)
+        assert code == cli.EXIT_USAGE
+        assert out == "" and "Traceback" not in err
+
+    @staticmethod
+    def instance_argv(tmp_path, where, **given):
+        """`--key=value` for each key, or a config file holding the same keys."""
+        if where == "flags":
+            return [f"--{key}={value}" for key, value in given.items()]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in given.items()))
+        return ["--config", str(cfg)]
+
+    @pytest.mark.parametrize("where", ["flags", "config"])
+    @pytest.mark.parametrize("key, value", [
+        ("p", "1,1_0"), ("q", "0,\u0660"), ("m", "0_1"), ("m", "1.5"), ("n", "\u0662"),
+        ("z", "-1e1"), ("z", "-1_0"), ("z", "-\u0661"), ("z", "-1/ 99"), ("z", "-1/0"),
+        ("z", "1/2/3"), ("z", "-1.5"), ("z", "--1"), ("z", "-1/"), ("z", "/2")])
+    def test_loose_instance_number_is_usage_error(self, capsys, tmp_path, where, key, value):
+        given = {"z": "-1", "p": "1,2", "q": "0,0", "m": "1", key: value}
+        argv = self.instance_argv(tmp_path, where, **given)
+        code, out, err = run_exit(capsys, "construct", *argv, "--t", "1")
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error:") and out == ""
+
+    @pytest.mark.parametrize("where", ["flags", "config"])
+    def test_signs_and_surrounding_spaces_accepted(self, capsys, tmp_path, where):
+        argv = self.instance_argv(tmp_path, where, z=" -1/99 ", p=" 1,+1", q="0, 0",
+                                  m=" +1", n="2 ")
+        code, out, _ = run_exit(capsys, "construct", *argv, "--t", " 2 ")
+        assert code == 0
+        assert (0, out) == run(capsys, "construct", "--z=-1/99", "--p", "1,1", "--q", "0,0",
+                               "--m", "1", "--t", "2")[:2]
 
 
 class TestExitCodeMapping:

@@ -11,17 +11,21 @@
 - transform_iterates, which goes through the reduced polynomial, against
   the plain christoffel_transform chain on L, and its rejection of an L
   that is not legendre_poly(params, t);
-- frozen SHA-256 digests of large constructions and transforms;
+- frozen SHA-256 digests of large constructions and transforms, and of L
+  and the reduced polynomial for every preset at t = 1, 2, 3, 6 and for two
+  seeded corpora (data/construct_sha256.json);
 - the series oracle (Newton differences at negative k) against
   construction at degree 200, the oracle's cap.
 """
 
 import decimal
 import hashlib
+import json
 import random
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +40,7 @@ from loglegendre.legendre import (
     _toeplitz_tail,
     christoffel_transform,
     legendre_poly,
+    legendre_reduced,
     transform_iterates,
 )
 from loglegendre.measures import preset_catalog
@@ -45,6 +50,9 @@ from loglegendre.series import oracle_legendre
 # coefficient-by-coefficient transform
 LOG2_M1_T70_SHA256 = "75377eb118914634fb0142711bb4c2f73caef1e6e881fb5731efb124683c2a92"
 LOG2_M2_T24_T2_SHA256 = "96abf2e7865498d3758fc3d3d5299f3e1328b65a6097c1b83d985076a5ed7422"
+CONSTRUCT_SHA256 = Path(__file__).resolve().parent / "data" / "construct_sha256.json"
+PRESET_SCALES = (1, 2, 3, 6)
+CORPORA = [(11, 60, False), (12, 40, True)]      # (seed, max_weight, with_m), 40 each
 
 
 def transform_by_definition(P: DensePoly) -> DensePoly:
@@ -58,6 +66,21 @@ def transform_by_definition(P: DensePoly) -> DensePoly:
 
 def sha256(P: DensePoly) -> str:
     return hashlib.sha256(P.render().encode()).hexdigest()
+
+
+def preset_digests(params) -> dict[str, list[str]]:
+    """{t: [sha256 of L, sha256 of the reduced polynomial]} over PRESET_SCALES."""
+    return {str(t): [sha256(legendre_poly(params, t)), sha256(legendre_reduced(params, t))]
+            for t in PRESET_SCALES}
+
+
+def corpus_digest(seed: int, max_weight: int, with_m: bool) -> str:
+    """One sha256 over render() of L and the reduced polynomial, corpus order."""
+    h = hashlib.sha256()
+    for params, t in oracle_corpus(seed, 40, max_weight=max_weight, with_m=with_m):
+        for P in (legendre_poly(params, t), legendre_reduced(params, t)):
+            h.update(P.render().encode() + b"\n\n")
+    return h.hexdigest()
 
 
 class TestOneMinusZPower:
@@ -303,6 +326,20 @@ class TestFrozenDigests:
         params = preset_catalog()["log2-m2"]
         L = legendre_poly(params, 24)
         assert sha256(transform_iterates(params, 24, L, 2)[1]) == LOG2_M2_T24_T2_SHA256
+
+
+class TestFrozenConstructions:
+    """Every constructed bit against the digests in data/construct_sha256.json."""
+
+    @pytest.mark.parametrize("name", sorted(preset_catalog()))
+    def test_preset(self, name):
+        frozen = json.loads(CONSTRUCT_SHA256.read_text())["presets"][name]
+        assert preset_digests(preset_catalog()[name]) == frozen
+
+    @pytest.mark.parametrize("seed, max_weight, with_m", CORPORA)
+    def test_corpus(self, seed, max_weight, with_m):
+        frozen = json.loads(CONSTRUCT_SHA256.read_text())["corpora"][str(seed)]
+        assert corpus_digest(seed, max_weight, with_m) == frozen
 
 
 class TestOracleKernel:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import mpmath as mp
 import pytest
@@ -10,7 +11,6 @@ from loglegendre.errors import ParamError, PrecisionError
 from loglegendre.exact import DensePoly
 from loglegendre.legendre import (
     ParamSet,
-    _dpq_int,
     build_record,
     check_integer_coefficients,
     check_roots_in_unit_interval,
@@ -32,8 +32,13 @@ def poly(*cs):
 
 
 def apply_dpq(p, q, P):
-    """z^q (1-z)^p D_{p+q}( z^p (1-z)^q P ) for an integer polynomial P."""
-    return DensePoly(_dpq_int(p, q, list(P.coeffs)))
+    """z^q (1-z)^p D_{p+q}( z^p (1-z)^q P ) from the definition: DensePoly
+    products, p+q derivatives and a division by (p+q)!."""
+    z, w = poly(0, 1), poly(1, -1)
+    inner = z ** p * w ** q * P
+    for _ in range(p + q):
+        inner = inner.derivative()
+    return z ** q * w ** p * inner * Fraction(1, factorial(p + q))
 
 
 class TestParamSet:
@@ -57,6 +62,12 @@ class TestParamSet:
         with pytest.raises(ParamError):
             ParamSet(p=(1, 2), q=(0, 1), z=Fraction(-1), m=2)
 
+    @pytest.mark.parametrize("p, z, m", [((4, 5, 3), -0.1, 1), ((4.0, 5, 3), -1, 1),
+                                         ((4, 5, 3), -1, 1.5), ((4, 5, 3), "-1", 1)])
+    def test_rejects_non_int_entries_and_inexact_z(self, p, z, m):
+        with pytest.raises(ParamError):
+            ParamSet(p=p, q=(1, 2, 0), z=z, m=m)
+
     def test_rejects_monotonicity_violation(self):
         with pytest.raises(ParamError):
             ParamSet(p=(2, 1), q=(0, 1), z=Fraction(-1), m=1)
@@ -77,6 +88,13 @@ class TestApplyDpq:
             p, q = rng.randint(0, 3), rng.randint(0, 3)
             P = poly(*[rng.randint(-5, 5) for _ in range(rng.randint(1, 6))], 1)
             assert apply_dpq(p, q, P).degree == P.degree + p + q
+
+    def test_composition_is_legendre_poly(self):
+        for params, t in oracle_corpus(seed=19, count=30, max_weight=24):
+            P = poly(1)
+            for p, q in reversed(params.pairs()):
+                P = apply_dpq(p * t, q * t, P)
+            assert P == legendre_poly(params, t), f"p={params.p} q={params.q} t={t}"
 
 
 class TestLegendrePoly:
