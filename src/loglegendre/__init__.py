@@ -8,9 +8,7 @@ from .exact import (
     primes_in_range,
 )
 from .legendre import (
-    LegendreRecord,
     ParamSet,
-    build_record,
     christoffel_transform,
     christoffel_value,
     eval_at_rational,

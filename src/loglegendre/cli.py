@@ -30,11 +30,11 @@ from .errors import HypothesisError, InternalCheckError, ParamError, PrecisionEr
 from .exact import DensePoly, decimal_digits
 from .legendre import (
     ParamSet,
-    build_record,
     eval_at_rational,
     legendre_poly,
     reduced_form_value,
     structural_identity_suite,
+    transform_iterates,
 )
 from .measures import boundary_rate, measure_bound, preset_catalog
 from .series import (
@@ -178,7 +178,9 @@ def cmd_bound(args) -> int:
 
 
 def _verify_structural(count, seed):
-    for params, t in corpus.oracle_corpus(seed, count, max_weight=40):
+    # the corpus with m adds the orthogonality and trivial-integrality checks
+    for params, t in (corpus.oracle_corpus(seed, count, max_weight=40)
+                      + corpus.oracle_corpus(seed, count, max_weight=40, with_m=True)):
         for rep in structural_identity_suite(params, t, grid_step=Fraction(1, 50)):
             if not rep.passed:
                 yield f"  FAIL {rep.name} at p={params.p} q={params.q} t={t}: {rep.witness}"
@@ -208,8 +210,8 @@ def _verify_derivative(count, seed):
 
 def _verify_integrality(count, seed):
     for params, t in corpus.oracle_corpus(seed, count, max_weight=30, with_m=True):
-        rec = build_record(params, t)
-        if not strong_integrality_check(params, t, rec.transforms):
+        transforms = transform_iterates(params, t, legendre_poly(params, t), params.m)
+        if not strong_integrality_check(params, t, transforms):
             yield f"  FAIL integrality at p={params.p} q={params.q} m={params.m} t={t}"
 
 
@@ -282,9 +284,11 @@ def _worker_count(requested: int) -> int:
 
 
 def cmd_construct(args) -> int:
-    rec = build_record(_resolve_params(args), args.t)
-    parts = [rec.L.render()]
-    for i, tr in enumerate(rec.transforms, start=1):
+    params = _resolve_params(args)
+    L = legendre_poly(params, args.t)
+    transforms = transform_iterates(params, args.t, L, params.m) if params.m else []
+    parts = [L.render()]
+    for i, tr in enumerate(transforms, start=1):
         parts += [f"# transform {i}", tr.render()]
     _emit("\n".join(parts), args.out)
     return EXIT_OK

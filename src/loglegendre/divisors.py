@@ -30,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm, log
+from math import gcd, isqrt, lcm, log
 from typing import Sequence
 
 import mpmath as mp
@@ -46,18 +46,16 @@ from .legendre import ParamSet
 
 @dataclass(frozen=True)
 class ExponentProfile:
-    """Sorted cross sums K, lcm exponents N, and diagonal sums H."""
+    """Sorted cross sums K and lcm exponents N."""
 
     cross_sums: tuple[int, ...]          # all p_i + q_j, descending
     lcm_exponents: tuple[Fraction, ...]  # N_j = max(K_j, K_1/j), j = 1..n
-    diagonal_sums: tuple[int, ...]       # p_l + q_l, descending
 
 
 def exponent_profile(params: ParamSet) -> ExponentProfile:
     K = sorted((p + q for p in params.p for q in params.q), reverse=True)
     N = [max(Fraction(K[j - 1]), Fraction(K[0], j)) for j in range(1, params.n + 1)]
-    H = sorted((p + q for p, q in params.pairs()), reverse=True)
-    return ExponentProfile(tuple(K), tuple(N), tuple(H))
+    return ExponentProfile(tuple(K), tuple(N))
 
 
 # ---------------------------------------------------------------------------
@@ -301,18 +299,17 @@ def strong_integrality_check(params: ParamSet, t: int,
     """Delta_t^{-1} d_{N_1 t} ... d_{N_m t} T^m(L) has integer coefficients.
 
     `transforms` is the list [T(L), ..., T^m(L)] at scale t; only the last
-    entry is checked.  Returns False only on a violation of the guarantee,
-    which would mean a bug.
+    entry is checked, in its cleared form (1/den) sum nums[k] z^k.  Returns
+    False only on a violation of the guarantee, which would mean a bug.
+
+    For each prime s dividing den, the coefficient whose reduced denominator
+    carries den's full power of s has a numerator prime to s.  So mult c is
+    an integer for every coefficient c exactly when den divides mult, and
+    Delta_t then divides every mult c exactly when it divides
+    (mult/den) gcd(nums).  The zero polynomial (den = 1, gcd() = 0) passes.
     """
     if not transforms:
         return True
     mult = lcm_clearing_multiplier(exponent_profile(params).cross_sums, t, len(transforms))
-    delta = guaranteed_divisor(params, t)
-    top = transforms[-1]
-    for c in top.coeffs:
-        scaled = c * mult
-        if scaled.denominator != 1:
-            return False
-        if scaled.numerator % delta != 0:
-            return False
-    return True
+    den, nums = transforms[-1].cleared()
+    return mult % den == 0 and mult // den * gcd(*nums) % guaranteed_divisor(params, t) == 0

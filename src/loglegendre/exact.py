@@ -23,6 +23,7 @@ from __future__ import annotations
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, gcd, isqrt, lcm, prod
 from typing import Iterable, Optional, Sequence, Union
 
@@ -227,9 +228,6 @@ class DensePoly:
             return self.coeffs == other.coeffs
         return NotImplemented
 
-    def __hash__(self):
-        return hash(tuple(Fraction(c) for c in self.coeffs))
-
     def __repr__(self):
         return f"DensePoly({list(self.coeffs)!r})"
 
@@ -315,25 +313,21 @@ class DensePoly:
 
     def order_at_one(self) -> int:
         """Multiplicity of the root z = 1 (0 if P(1) != 0)."""
-        p = self
-        k = 0
-        while p.evaluate(1) == 0:
+        if not self.coeffs:
+            raise ValueError("zero polynomial has no finite order")
+        p, k = self, 0
+        while sum(p.coeffs) == 0:  # P(1)
             p = p.deflate_at_one()
             k += 1
         return k
 
     def deflate_at_one(self) -> "DensePoly":
-        """Exact division by (1 - z); requires P(1) == 0."""
-        if self.evaluate(1) != 0:
+        """Exact division by (1 - z); requires P(1) == 0.  The quotient's
+        coefficients are the prefix sums of P's, the last of which is P(1)."""
+        sums = list(accumulate(self.coeffs))
+        if sums and sums[-1]:
             raise ValueError("polynomial does not vanish at 1")
-        # P = (1-z) Q  =>  q_k = -(sum_{j>k} p_j ... ) ; synthetic division by (1-z)
-        cs = list(self.coeffs)
-        out = [0] * (len(cs) - 1)
-        acc = 0
-        for k in range(len(cs) - 1, 0, -1):
-            acc += cs[k]
-            out[k - 1] = -acc
-        return DensePoly(out)
+        return DensePoly(sums[:-1])
 
     def content_denominator(self) -> int:
         """Positive lcm of coefficient denominators (1 for integer polys)."""

@@ -47,7 +47,7 @@ instead.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_DOWN, Context, Decimal
 from fractions import Fraction
 from itertools import accumulate, permutations
@@ -130,15 +130,6 @@ class ParamSet:
             "q": list(self.q),
             "z": f"{self.z.numerator}/{self.z.denominator}",
         }
-
-
-@dataclass(frozen=True)
-class LegendreRecord:
-    """A constructed polynomial at scale t together with its T-iterates."""
-
-    t: int
-    L: DensePoly
-    transforms: tuple[DensePoly, ...] = field(default_factory=tuple)
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +351,6 @@ def transform_iterates(params: ParamSet, t: int, L: DensePoly, m: int) -> list[D
     return out
 
 
-def build_record(params: ParamSet, t: int) -> LegendreRecord:
-    L = legendre_poly(params, t)
-    transforms: tuple[DensePoly, ...] = ()
-    if params.m:
-        transforms = tuple(transform_iterates(params, t, L, params.m))
-    return LegendreRecord(t=t, L=L, transforms=transforms)
-
-
 def _iterate_weights(d: int, j: int, big: int) -> list[int]:
     """big^j a_j(m) for m = 0..d, where T^j(z^k) = sum_{i<k} a_j(k-i) z^i.
 
@@ -562,6 +545,8 @@ def check_mirror(params: ParamSet, t: int) -> IdentityReport:
 def check_unit_interval_bound(params: ParamSet, t: int,
                               step: Fraction = DEFAULT_GRID_STEP) -> IdentityReport:
     """Grid-sampled sup of |reduced polynomial| on [0,1] against (Mt)!/prod((p+q)t)!."""
+    if not 0 < step <= 1:
+        raise ParamError(f"grid step must satisfy 0 < step <= 1, got {step}")
     core = legendre_reduced(params, t)
     bound = Fraction(factorial(params.total_degree * t),
                      _factorial_multiplier(params.p, params.q, t))
@@ -605,17 +590,15 @@ def check_orthogonality(params: ParamSet, t: int, rng: random.Random) -> Identit
                           None if ok else f"W={list(W.coeffs)}")
 
 
-def check_trivial_integrality(params: ParamSet, t: int) -> IdentityReport:
-    """The lcm multiplier d_{H1 t} d_{max(H2 t, [H1 t/2])} ... clears T^m(L)."""
-    if params.m is None:
-        return IdentityReport("trivial-integrality", True, "skipped: no m")
-    L = legendre_poly(params, t)
+def check_trivial_integrality(params: ParamSet, t: int, L: DensePoly) -> IdentityReport:
+    """The lcm multiplier d_{H1 t} d_{max(H2 t, [H1 t/2])} ... clears T^m(L)
+    (L = legendre_poly(params, t), params.m set): it clears every coefficient
+    exactly when the content denominator of T^m(L) divides it."""
     mult = trivial_clearing_multiplier(params, t)
-    cur = transform_iterates(params, t, L, params.m)[-1]
-    bad = next((i for i, c in enumerate(cur.coeffs)
-                if (mult * c).denominator != 1), None)
-    return IdentityReport("trivial-integrality", bad is None,
-                          None if bad is None else f"coefficient of z^{bad}")
+    den = transform_iterates(params, t, L, params.m)[-1].content_denominator()
+    ok = mult % den == 0
+    return IdentityReport("trivial-integrality", ok,
+                          None if ok else f"content denominator {den} does not divide {mult}")
 
 
 def trivial_clearing_multiplier(params: ParamSet, t: int) -> int:
@@ -645,5 +628,5 @@ def structural_identity_suite(params: ParamSet, t: int,
     ]
     if params.m is not None:
         reports.append(check_orthogonality(params, t, rng))
-        reports.append(check_trivial_integrality(params, t))
+        reports.append(check_trivial_integrality(params, t, L))
     return reports

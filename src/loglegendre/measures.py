@@ -19,7 +19,6 @@ log(b^M / (|a|^q_1 |b-a|^p_1)), taken by spectral.log_ratio on integers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 import mpmath as mp
@@ -78,9 +77,6 @@ class MeasureReport:
             "flags": self.flags,
             "mu_profile": self.profile.rows(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def to_table(self) -> str:
         d = self.to_dict()

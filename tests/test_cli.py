@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from loglegendre import cli
+from loglegendre import cli, legendre
 
 
 def run(capsys, *argv):
@@ -215,6 +215,20 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--suite", suite, "--count", "5")
         assert code == 0
         assert f"{suite}: PASS" in out
+
+    def test_structural_suite_runs_the_checks_that_need_m(self, capsys, monkeypatch):
+        calls = {"check_orthogonality": 0, "check_trivial_integrality": 0}
+        for name in calls:
+            check = getattr(legendre, name)
+
+            def counted(*args, _name=name, _check=check):
+                calls[_name] += 1
+                return _check(*args)
+
+            monkeypatch.setattr(legendre, name, counted)
+        code, out, _ = run(capsys, "verify", "--suite", "structural", "--count", "4")
+        assert code == 0 and "structural: PASS" in out
+        assert calls == {"check_orthogonality": 4, "check_trivial_integrality": 4}
 
     @pytest.mark.parametrize("suite", ["all", "structural", "oracle", "hyperharmonic",
                                        "derivative", "integrality"])

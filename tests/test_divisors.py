@@ -25,7 +25,8 @@ from loglegendre.errors import ParamError
 from loglegendre.exact import DensePoly, lcm_clearing_multiplier, lcm_upto
 from loglegendre.legendre import (
     ParamSet,
-    build_record,
+    legendre_poly,
+    transform_iterates,
     trivial_clearing_multiplier,
 )
 from loglegendre.measures import preset_catalog
@@ -79,7 +80,6 @@ class TestExponentProfile:
         prof = exponent_profile(example1)
         assert prof.cross_sums == (7, 6, 6, 5, 5, 5, 4, 4, 3)
         assert prof.lcm_exponents[0] == 7
-        assert prof.diagonal_sums == (7, 5, 3)
 
     def test_example2(self, example2):
         prof = exponent_profile(example2)
@@ -90,7 +90,6 @@ class TestExponentProfile:
         prof = exponent_profile(ParamSet(p=(1,), q=(0,), z=Fraction(-1)))
         assert prof.cross_sums == (1,)
         assert prof.lcm_exponents == (Fraction(1),)
-        assert prof.diagonal_sums == (1,)
 
     def test_lcm_index_floor(self, example2):
         K = exponent_profile(example2).cross_sums
@@ -381,6 +380,19 @@ class TestDivisorRate:
                    for t in (32, 64, 128))
 
 
+def iterates(params, t):
+    return transform_iterates(params, t, legendre_poly(params, t), params.m)
+
+
+def strong_by_definition(params, t, transforms):
+    """The strong guarantee coefficient by coefficient: mult c is an integer
+    divisible by Delta_t for every coefficient c of the last iterate."""
+    mult = lcm_clearing_multiplier(exponent_profile(params).cross_sums, t, len(transforms))
+    delta = guaranteed_divisor(params, t)
+    return all((mult * c).denominator == 1 and (mult * c).numerator % delta == 0
+               for c in transforms[-1].coeffs)
+
+
 class TestIntegrality:
     def test_trivial_multiplier_example1(self, example1):
         # H = (7, 5, 3), m = 1: the multiplier is lcm(1..7t)
@@ -390,23 +402,35 @@ class TestIntegrality:
 
     def test_strong_check_small_scales(self, example1, example2):
         for t in (1, 2, 3):
-            rec = build_record(example1, t)
-            assert strong_integrality_check(example1, t, rec.transforms)
-        rec = build_record(example2, 1)
-        assert strong_integrality_check(example2, 1, rec.transforms)
+            assert strong_integrality_check(example1, t, iterates(example1, t))
+        assert strong_integrality_check(example2, 1, iterates(example2, 1))
 
     def test_strong_check_random_corpus(self):
         for params, t in oracle_corpus(seed=103, count=12, max_weight=24, with_m=True):
-            rec = build_record(params, t)
-            assert strong_integrality_check(params, t, rec.transforms), \
+            assert strong_integrality_check(params, t, iterates(params, t)), \
                 f"violation at p={params.p} q={params.q} m={params.m} t={t}"
+
+    def test_strong_check_matches_definition(self):
+        # as built, one coefficient + 1/7, everything / 3 and everything * 3
+        verdicts = []
+        for params, t in oracle_corpus(seed=2020, count=20, max_weight=30, with_m=True):
+            *lower, top = iterates(params, t)
+            cases = [top, DensePoly(top.coeffs[:-1] + (top.coeffs[-1] + Fraction(1, 7),)),
+                     Fraction(1, 3) * top, 3 * top]
+            for poly in cases:
+                got = strong_integrality_check(params, t, lower + [poly])
+                assert got == strong_by_definition(params, t, lower + [poly]), \
+                    f"p={params.p} q={params.q} m={params.m} t={t}: {poly}"
+                verdicts.append(got)
+            assert verdicts[-4], f"as built: p={params.p} q={params.q} t={t}"
+        assert not all(verdicts)
 
     def test_empty_transforms_vacuous(self, example1):
         assert strong_integrality_check(example1, 1, [])
+        assert strong_integrality_check(example1, 1, [DensePoly()])
 
     def test_corruption_detected(self, example1):
-        rec = build_record(example1, 2)
-        top = rec.transforms[-1]
+        top = iterates(example1, 2)[-1]
         corrupted = DensePoly(
             list(top.coeffs[:-1]) + [top.coeffs[-1] + Fraction(1, 10**40)])
         assert not strong_integrality_check(example1, 2, [corrupted])

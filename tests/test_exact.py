@@ -178,6 +178,11 @@ class TestDensePoly:
         assert p.order_at_zero() == 2
         assert p.order_at_one() == 1
 
+    def test_zero_polynomial_has_no_order(self):
+        for order in (DensePoly().order_at_zero, DensePoly().order_at_one):
+            with pytest.raises(ValueError):
+                order()
+
     def test_compose_one_minus(self):
         rng = random.Random(6)
         for _ in range(20):

@@ -11,9 +11,10 @@ from loglegendre.errors import ParamError, PrecisionError
 from loglegendre.exact import DensePoly
 from loglegendre.legendre import (
     ParamSet,
-    build_record,
     check_integer_coefficients,
     check_roots_in_unit_interval,
+    check_trivial_integrality,
+    check_unit_interval_bound,
     christoffel_transform,
     christoffel_value,
     eval_at_rational,
@@ -371,16 +372,28 @@ class TestStructuralSuite:
         assert not rep.passed
         assert rep.witness == "sign variations: 2 below 0, 1 above 1"
 
+    @pytest.mark.parametrize("step", [0, Fraction(-1, 10), Fraction(3, 2)])
+    def test_grid_step_outside_unit_interval_is_rejected(self, step):
+        params = preset_catalog()["log2-m1"]
+        with pytest.raises(ParamError):
+            check_unit_interval_bound(params, 1, step=step)
+        with pytest.raises(ParamError):
+            structural_identity_suite(params, 1, grid_step=step)
+
+    def test_grid_step_one_is_accepted(self):
+        assert check_unit_interval_bound(preset_catalog()["log2-m1"], 1, step=1).passed
+
+    def test_trivial_integrality_witness_names_both_numbers(self, example1, monkeypatch):
+        L = legendre_poly(example1, 1)
+        assert check_trivial_integrality(example1, 1, L).passed
+        monkeypatch.setattr(legendre_module, "trivial_clearing_multiplier", lambda params, t: 2)
+        rep = check_trivial_integrality(example1, 1, L)
+        assert not rep.passed
+        assert rep.witness == "content denominator 7 does not divide 2"
+
     def test_fault_injection(self):
         corrupted = poly(1, Fraction(1, 3), 2)
         rep = check_integer_coefficients(corrupted)
         assert not rep.passed
         assert "z^1" in rep.witness
 
-
-class TestRecord:
-    def test_build_record(self, example2):
-        rec = build_record(example2, 1)
-        assert rec.t == 1
-        assert len(rec.transforms) == 2
-        assert rec.transforms[0] == christoffel_transform(rec.L)

@@ -81,7 +81,7 @@ class TestMeasureBound:
 
     def test_report_serialization(self, example1):
         rep = measure_bound(example1, 192)
-        payload = json.loads(rep.to_json())
+        payload = json.loads(json.dumps(rep.to_dict()))
         assert payload["params"]["p"] == [4, 5, 3]
         assert payload["poly_exponent"].startswith("2.574553902")
         assert payload["flags"]["distinct_char_values"] is True
