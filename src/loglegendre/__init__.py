@@ -24,7 +24,6 @@ from .series import (
     hyperharmonic_identity,
     oracle_legendre,
     p_to_q,
-    series_coefficient,
 )
 from .divisors import (
     ExponentProfile,

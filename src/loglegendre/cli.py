@@ -252,6 +252,8 @@ def cmd_asymptotics(args) -> int:
     params = _resolve_params(args)
     if args.t_max is None:
         raise ParamError("--t-max is required")
+    if args.threads < 1:
+        raise ParamError(f"--threads must be at least 1, got {args.threads}")
     seq = args.sequence
     if seq == "I" and params.m is None:
         raise ParamError("the I sequence needs the form order m")
@@ -279,8 +281,8 @@ def cmd_asymptotics(args) -> int:
 
 
 def _worker_count(requested: int) -> int:
-    """Processes for `asymptotics --threads`: at least 1, at most one per CPU."""
-    return max(1, min(requested, os.cpu_count() or 1))
+    """Processes for `asymptotics --threads` (at least 1): at most one per CPU."""
+    return min(requested, os.cpu_count() or 1)
 
 
 def cmd_construct(args) -> int:
@@ -361,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t-max", dest="t_max", type=_int_flag)
     sp.add_argument("--precision", type=_int_flag, default=64)
     sp.add_argument("--threads", type=_int_flag, default=1)
-    sp.add_argument("--format", choices=("csv",), default="csv")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_asymptotics)
 

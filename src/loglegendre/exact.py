@@ -401,46 +401,25 @@ def first_dependency_mod(columns: Sequence[Sequence[int]], p: int
 
     Returns (k, c) with c[k] = 1, residues c[0..k-1] in [0, p) and
     sum_i c[i] columns[i] = 0 mod p; None when all columns are independent
-    modulo p.  Columns are reduced one by one against the earlier reduced
-    columns (the pivots); the multipliers of each reduction are kept, and the
-    combination is read back from them through the triangular pivot history.
+    modulo p.  Column k is reduced as its residues followed by the unit
+    vector e_k, so its entries past the rows carry the combination of the
+    original columns that it equals; each pivot keeps its vector from its
+    first nonzero entry on.  Pivot j's combination ends at index j < k, so
+    c[k] stays 1 and every entry stays in [0, p).
     """
-    pivots: list[tuple[int, int, list[int]]] = []  # (row, 1/entry, column from row on)
-    history: list[list[tuple[int, int]]] = []       # multipliers per pivot
+    pivots: list[tuple[int, int, list[int]]] = []  # (row, 1/entry, vector from row on)
     for k, col in enumerate(columns):
-        vec = [x % p for x in col]
-        mult = []
-        for j, (r, inv, tail) in enumerate(pivots):
+        rows = len(col)
+        vec = [x % p for x in col] + [0] * k + [1]
+        for r, inv, tail in pivots:
             if vec[r]:
                 f = vec[r] * inv % p
-                vec[r:] = [(a - f * b) % p for a, b in zip(vec[r:], tail)]
-                mult.append((j, f))
-        first = next((r for r, x in enumerate(vec) if x), None)
-        if first is None:
-            return k, _combination(k, mult, history, p)
+                vec[r:r + len(tail)] = [(a - f * b) % p for a, b in zip(vec[r:], tail)]
+        first = next(r for r, x in enumerate(vec) if x)
+        if first >= rows:
+            return k, vec[rows:]
         pivots.append((first, pow(vec[first], -1, p), vec[first:]))
-        history.append(mult)
     return None
-
-
-def _combination(k: int, mult: list, history: list, p: int) -> list[int]:
-    """Coefficients on the original columns of column k minus its reduction.
-
-    Column k equals sum f_j red_j over its multipliers, and pivot j is
-    red_j = column j - sum g_(j,i) red_i over its own; unwinding from the
-    last pivot down moves each weight onto the original column j.
-    """
-    weight = [0] * k
-    for j, f in mult:
-        weight[j] = f
-    c = [0] * k + [1]
-    for j in range(k - 1, -1, -1):
-        w = weight[j]
-        if w:
-            c[j] = -w % p
-            for i, g in history[j]:
-                weight[i] = (weight[i] - w * g) % p
-    return c
 
 
 def crt_pair(r: int, m: int, s: int, p: int) -> int:

@@ -419,8 +419,9 @@ def _mpf_from_fraction(x: Fraction) -> mp.mpf:
 
 
 def legendre_function_value(params: ParamSet, t: int, j: int, precision: int,
-                            L: Optional[DensePoly] = None) -> mp.mpf:
-    """Value of the j-th log form L(z) log^j(z/(z-1)) - T^j(L)(z) at z = a/b.
+                            L: DensePoly) -> mp.mpf:
+    """Value of the j-th log form L(z) log^j(z/(z-1)) - T^j(L)(z) at z = a/b,
+    where L is legendre_poly(params, t).
 
     The form is an exponentially small difference of exponentially large
     terms, so the working precision is raised above the exact bit magnitude
@@ -430,8 +431,6 @@ def legendre_function_value(params: ParamSet, t: int, j: int, precision: int,
     """
     if params.m is None or not 1 <= j <= params.m:
         raise ParamError("need 1 <= j <= m")
-    if L is None:
-        L = legendre_poly(params, t)
     lz, tz = eval_at_rational(L, params.z), christoffel_value(L, params.z, j)
     w = params.z / (params.z - 1)
     magbits = max(_bit_magnitude(lz), _bit_magnitude(tz), 1)
@@ -461,7 +460,7 @@ def legendre_function_value(params: ParamSet, t: int, j: int, precision: int,
 
 
 def reduced_form_value(params: ParamSet, t: int, j: int, precision: int,
-                       L: Optional[DensePoly] = None) -> mp.mpf:
+                       L: DensePoly) -> mp.mpf:
     """The log form scaled by z^(-q_1 t) (1-z)^(-p_1 t), the object whose decay
     rate enters the measure computation."""
     raw = legendre_function_value(params, t, j, precision, L=L)

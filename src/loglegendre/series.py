@@ -41,13 +41,6 @@ def _binomial_product(params: ParamSet, t: int, k: int) -> int:
     return out
 
 
-def series_coefficient(params: ParamSet, t: int, k: int) -> int:
-    """k-th series coefficient prod_j C(k + p_j t, (p_j + q_j) t), exact."""
-    if k < 0:
-        raise ParamError("k must be nonnegative")
-    return _binomial_product(params, t, k)
-
-
 def _times_one_minus_z(c: list[int]) -> list[int]:
     """Coefficients of (1-z) c: one first-difference pass."""
     return [a - b for a, b in zip(c + [0], [0] + c)]

@@ -17,8 +17,9 @@ For small instances an annihilating coefficient vector witnesses the
 recurrence directly.  It is found modulo a fixed sequence of 128-bit primes
 (exact.first_dependency_mod), lifted to the rationals by the Chinese
 remainder theorem and rational reconstruction, and returned only once it
-annihilates the polynomials exactly; a prime that reports the dependency too
-early is passed over, and running out of primes raises InternalCheckError.
+annihilates the eliminated integer columns exactly; a prime that reports
+the dependency too early is passed over, and running out of primes raises
+InternalCheckError.
 """
 
 from __future__ import annotations
@@ -381,7 +382,8 @@ def recurrence_witness(params: ParamSet, t: int) -> RecurrenceWitness:
     far is kept, and only the residues found at that index are combined by
     the Chinese remainder theorem.  After each prime the combination is
     lifted to Q by rational reconstruction and accepted only if it
-    annihilates the columns exactly; otherwise the next prime is taken.
+    annihilates the integer columns exactly (the dependent column weighs 1,
+    so the witness is never trivial); otherwise the next prime is taken.
     InternalCheckError if the columns are independent modulo a prime (then
     no witness exists in the degree window) or if the primes run out.
     """
@@ -417,11 +419,8 @@ def recurrence_witness(params: ParamSet, t: int) -> RecurrenceWitness:
             residues = [crt_pair(r, modulus, s, p) for r, s in zip(residues, combo)]
             modulus *= p
         lifted = [rational_reconstruction(r, modulus) for r in residues]
-        if None in lifted:
-            continue
-        witness = _assemble_witness(t, lifted, sizes)
-        if _verify_witness(scaled, witness, rows):
-            return witness
+        if None not in lifted and _annihilates(columns, lifted):
+            return _assemble_witness(t, lifted, sizes)
     raise InternalCheckError(f"no verified recurrence witness at t={t} after the prime sequence")
 
 
@@ -435,18 +434,13 @@ def _assemble_witness(t: int, lifted: list[tuple[int, int]], sizes: list[int]
         DensePoly(values[end - size:end]) for size, end in zip(sizes, accumulate(sizes))))
 
 
-def _verify_witness(scaled: list[list[int]], witness: RecurrenceWitness,
-                    rows: int) -> bool:
-    """Whether the nonzero witness gives sum_l A_l * P_{t+l} = 0 exactly,
-    checked on the integer multiple that clears the denominators."""
-    if witness.is_trivial():
-        return False
-    den = lcm(*(poly.content_denominator() for poly in witness.coefficients))
-    acc = [0] * rows
-    for l, poly in enumerate(witness.coefficients):
-        for i, a in enumerate(poly.coeffs):
-            if a:
-                a = a.numerator * (den // a.denominator)
-                for k, c in enumerate(scaled[l]):
-                    acc[i + k] += a * c
+def _annihilates(columns: list[list[int]], lifted: list[tuple[int, int]]) -> bool:
+    """Whether the weights (num, den) on the first columns sum them to zero,
+    checked exactly on the integer multiple that clears the denominators."""
+    den = lcm(*(d for _, d in lifted))
+    acc = [0] * len(columns[0])
+    for (num, d), col in zip(lifted, columns):
+        if num:
+            a = num * (den // d)
+            acc = [x + a * c for x, c in zip(acc, col)]
     return not any(acc)

@@ -332,9 +332,15 @@ class TestAsymptoticsCommand:
         assert cli._worker_count(64) == 2
         assert cli._worker_count(2) == 2
         assert cli._worker_count(1) == 1
-        assert cli._worker_count(0) == 1
         monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
         assert cli._worker_count(8) == 1
+
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_nonpositive_threads_is_usage_error(self, capsys, threads):
+        code, out, err = run(capsys, "asymptotics", "--preset", "log2-m1",
+                             "--t-max", "8", "--threads", threads)
+        assert code == 2
+        assert "usage error" in err and out == ""
 
     def test_missing_t_max(self, capsys):
         code, _, err = run(capsys, "asymptotics", "--preset", "log2-m1")

@@ -1,9 +1,11 @@
-"""Every name a module of src or tests imports is used in that module.
+"""Every name a module of src or tests imports is used in that module, and
+every name the package re-exports is used by the program.
 
 No linter ships with the project, so this walks each file's AST: a name
 bound by an import must occur as a name somewhere in the file.
-src/loglegendre/__init__.py is left out, since its imports are the
-package's re-exports.
+src/loglegendre/__init__.py is left out there, since its imports are the
+package's re-exports; each of those must occur as a name or an attribute in
+another module of src or in bench.
 """
 
 import ast
@@ -12,8 +14,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(p for p in (ROOT / "src" / "loglegendre").glob("*.py") if p.name != "__init__.py") \
-    + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = ROOT / "src" / "loglegendre"
+SRC = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+FILES = SRC + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +41,23 @@ def test_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def referenced_names(source: str) -> set[str]:
+    """The names that source reads, bare or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_guard_sees_names_and_attributes():
+    assert referenced_names("import os\nos.path.join(a, b=c)\n") == {"os", "path", "join", "a", "c"}
+
+
+def test_every_reexport_is_used():
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exported = {a.asname or a.name for node in ast.walk(init)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    used = set().union(*(referenced_names(p.read_text(encoding="utf-8"))
+                         for p in SRC + sorted((ROOT / "bench").glob("*.py"))))
+    assert sorted(exported - used) == []

@@ -291,7 +291,7 @@ class TestFunctionValue:
     def test_precision_cap(self, example1, monkeypatch):
         monkeypatch.setattr(legendre_module, "DEFAULT_MAX_WORKING_BITS", 80)
         with pytest.raises(PrecisionError):
-            legendre_function_value(example1, 3, 1, 128)
+            legendre_function_value(example1, 3, 1, 128, L=legendre_poly(example1, 3))
 
     def test_second_order_form(self, example2):
         # both form orders stay tiny against their huge constituents and decay
@@ -308,12 +308,13 @@ class TestFunctionValue:
 
     def test_j_out_of_range(self, example1):
         with pytest.raises(ParamError):
-            legendre_function_value(example1, 1, 2, 96)
+            legendre_function_value(example1, 1, 2, 96, L=legendre_poly(example1, 1))
 
     def test_reduced_form_scaling(self, example1):
         t = 4
-        raw = legendre_function_value(example1, t, 1, 128)
-        red = reduced_form_value(example1, t, 1, 128)
+        L = legendre_poly(example1, t)
+        raw = legendre_function_value(example1, t, 1, 128, L=L)
+        red = reduced_form_value(example1, t, 1, 128, L=L)
         # prefactor at z=-1 is (1-z)^(-4t) = 2^(-4t), |z|=1
         with mp.workprec(256):
             assert abs(red - raw * mp.mpf(2) ** (-4 * t)) < abs(red) * mp.mpf(2) ** -100

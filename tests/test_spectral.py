@@ -11,7 +11,7 @@ import pytest
 from loglegendre.corpus import oracle_corpus
 from loglegendre import spectral
 from loglegendre.errors import HypothesisError, InternalCheckError, ParamError, PrecisionError
-from loglegendre.exact import DensePoly
+from loglegendre.exact import DensePoly, rational_reconstruction
 from loglegendre.legendre import ParamSet, _legendre_scaled
 from loglegendre.measures import measure_bound, preset_catalog
 from loglegendre.spectral import (
@@ -578,6 +578,25 @@ class TestModularWitness:
         monkeypatch.setattr(spectral, "first_dependency_mod", recorded)
         assert recurrence_witness(example1, t) == fraction_witness(example1, t)
         assert seen == want
+
+    def test_exact_check_accepts_only_the_true_weights(self, example1, monkeypatch):
+        seen = []
+        kernel = spectral.first_dependency_mod
+
+        def recorded(columns, p):
+            found = kernel(columns, p)
+            seen.append((columns, p, found))
+            return found
+
+        monkeypatch.setattr(spectral, "first_dependency_mod", recorded)
+        recurrence_witness(example1, 1)
+        assert len(seen) == 1  # one prime lifts the weights at t = 1
+        columns, p, (_, residues) = seen[0]
+        lifted = [rational_reconstruction(r, p) for r in residues]
+        assert spectral._annihilates(columns, lifted)
+        i = next(i for i, (num, _) in enumerate(lifted) if num)
+        lifted[i] = (lifted[i][0] + 1, lifted[i][1])
+        assert not spectral._annihilates(columns, lifted)
 
     def test_only_unlucky_primes_raise(self, example1, monkeypatch):
         monkeypatch.setattr(spectral, "_witness_primes", lambda: [2, 3, 5, 7, 11, 13])
