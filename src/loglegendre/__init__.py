@@ -3,7 +3,6 @@
 from .errors import HypothesisError, InternalCheckError, ParamError, PrecisionError
 from .exact import (
     DensePoly,
-    binomial_integer,
     lcm_upto,
     primes_in_range,
 )

@@ -29,6 +29,7 @@ from .divisors import (
 from .errors import HypothesisError, InternalCheckError, ParamError, PrecisionError
 from .exact import DensePoly, decimal_digits
 from .legendre import (
+    MIN_PRECISION,
     ParamSet,
     eval_at_rational,
     legendre_poly,
@@ -238,14 +239,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK if total == 0 else EXIT_INTERNAL
 
 
-def _asym_point(job) -> tuple[int, object]:
-    """(t, |value|): the exact |L(z)| for the L sequence, the reduced form
-    as an mpf for the I sequence."""
+def _asym_point(job):
+    """|value| at one t: the exact |L(z)| for the L sequence, the reduced
+    form as an mpf for the I sequence."""
     kind, params, t, precision = job
     L = legendre_poly(params, t)
     if kind == "L":
-        return t, abs(eval_at_rational(L, params.z))
-    return t, abs(reduced_form_value(params, t, 1, precision, L=L))
+        return abs(eval_at_rational(L, params.z))
+    return abs(reduced_form_value(params, t, 1, precision, L=L))
 
 
 def cmd_asymptotics(args) -> int:
@@ -259,12 +260,11 @@ def cmd_asymptotics(args) -> int:
         raise ParamError("the I sequence needs the form order m")
     jobs = [(seq, params, t, args.precision) for t in range(1, args.t_max + 1)]
     workers = _worker_count(args.threads)
-    if workers > 1:
+    if workers > 1:  # map keeps the jobs in order, like the serial loop
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            pairs = sorted(pool.map(_asym_point, jobs))
+            values = list(pool.map(_asym_point, jobs))
     else:
-        pairs = [_asym_point(j) for j in jobs]
-    values = [v for _, v in pairs]
+        values = [_asym_point(j) for j in jobs]
     wmax = windowed_log_maxima(values, params.n)
     slope = windowed_growth_rate(values, params.n)
     sd = spectral_data(params, max(args.precision, 128))
@@ -388,8 +388,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     precision = getattr(args, "precision", None)
-    if precision is not None and precision < 64:
-        ap.exit(EXIT_USAGE, "precision must be at least 64 bits\n")
+    if precision is not None and precision < MIN_PRECISION:
+        ap.exit(EXIT_USAGE, f"precision must be at least {MIN_PRECISION} bits\n")
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -37,7 +37,7 @@ import mpmath as mp
 
 from .errors import ParamError
 from .exact import DensePoly, fixed_log, lcm_clearing_multiplier, primes_in_range
-from .legendre import ParamSet
+from .legendre import ParamSet, check_precision
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +275,10 @@ def divisor_rate(params: ParamSet, precision: int = 192) -> mp.mpf:
 
     Collected by breakpoint, this is sum_u (mu_left(u) - mu_right(u)) psi(u)
     over the breakpoints and 1, with mu = 0 left of 0 and from 1 on, so psi
-    is evaluated once at each point where mu jumps.
+    is evaluated once at each point where mu jumps.  A precision below
+    legendre.MIN_PRECISION raises ParamError.
     """
+    check_precision(precision)
     profile = floor_gain_profile(params)
     points = profile.breakpoints + (Fraction(1),)
     left = (0,) + profile.values

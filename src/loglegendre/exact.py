@@ -46,19 +46,6 @@ def decimal_digits(n: int) -> str:
     return str(Decimal(n))
 
 
-def binomial_integer(nn: int, m: int) -> int:
-    """Generalized binomial C(nn, m) = nn(nn-1)...(nn-m+1)/m! for any integer nn.
-
-    Exact; C(nn, m) = 0 when 0 <= nn < m, and by reflection
-    C(nn, m) = (-1)^m C(m - nn - 1, m) when nn < 0.
-    """
-    if m < 0:
-        raise ValueError("lower index must be nonnegative")
-    if nn >= 0:
-        return comb(nn, m)
-    return (-1) ** m * comb(m - nn - 1, m)
-
-
 def _sieve_upto(n: int) -> bytearray:
     flags = bytearray(b"\x01") * (n + 1)
     flags[:2] = b"\x00\x00"

@@ -132,6 +132,17 @@ class ParamSet:
         }
 
 
+MIN_PRECISION = 64  # fewest bits a numeric result is computed to
+
+
+def check_precision(precision: int) -> None:
+    """Raise ParamError below MIN_PRECISION bits: there the guard bits and
+    the separation and rounding margins of the numeric routines exceed the
+    precision itself, and their results are wrong without warning."""
+    if precision < MIN_PRECISION:
+        raise ParamError(f"precision must be at least {MIN_PRECISION} bits, got {precision}")
+
+
 # ---------------------------------------------------------------------------
 # construction (integer fast path)
 # ---------------------------------------------------------------------------
@@ -426,11 +437,13 @@ def legendre_function_value(params: ParamSet, t: int, j: int, precision: int,
     The form is an exponentially small difference of exponentially large
     terms, so the working precision is raised above the exact bit magnitude
     of the terms, then once more after the result's own scale is known, so
-    the returned value carries `precision` significant bits.  A working
-    precision above DEFAULT_MAX_WORKING_BITS raises PrecisionError.
+    the returned value carries `precision` significant bits.  A precision
+    below MIN_PRECISION raises ParamError, a working precision above
+    DEFAULT_MAX_WORKING_BITS PrecisionError.
     """
     if params.m is None or not 1 <= j <= params.m:
         raise ParamError("need 1 <= j <= m")
+    check_precision(precision)
     lz, tz = eval_at_rational(L, params.z), christoffel_value(L, params.z, j)
     w = params.z / (params.z - 1)
     magbits = max(_bit_magnitude(lz), _bit_magnitude(tz), 1)

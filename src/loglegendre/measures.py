@@ -30,7 +30,7 @@ from .divisors import (
     floor_gain_profile,
 )
 from .errors import HypothesisError, ParamError
-from .legendre import ParamSet
+from .legendre import ParamSet, check_precision
 from .spectral import SpectralData, log_ratio, spectral_data
 
 DEFAULT_PRECISION = 512
@@ -141,7 +141,11 @@ def _round_outward(x, precision: int):
 
 
 def measure_bound(params: ParamSet, precision: int = DEFAULT_PRECISION) -> MeasureReport:
-    """Full pipeline: exponents, mu profile, divisor rate, roots, values, rates."""
+    """Full pipeline: exponents, mu profile, divisor rate, roots, values, rates.
+
+    A precision below legendre.MIN_PRECISION raises ParamError.
+    """
+    check_precision(precision)
     if params.m is None:
         raise ParamError("measure computation needs the form order m")
     if params.n < 2:

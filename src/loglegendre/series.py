@@ -8,42 +8,39 @@ product of binomials,
 
     Q(k) = prod_j C(k + p_j t, (p_j + q_j) t),
 
-a polynomial in k.  This module rebuilds the Legendre polynomial from
-integer Newton differences of Q at k = -1, ..., -(d+1) (d = M t), giving a
-brute-force oracle that never touches the differential operators.
+a polynomial in k.
 
 Since (1-z) z^i = (-1)^i w^i/(1-w)^(i+1), P(z) = sum_i c_i z^i has
 Q(k) = sum_i (-1)^i c_i C(k, i): the Newton coefficients of Q at k = 0 are
-P's coefficients with alternating signs, and the basis change P -> Q
-(:func:`p_to_q`) goes through them.  The module also hosts the
-combinatorial identities tying the transform T to the formal k-derivative
-of Q.  Polynomials in k are :class:`DensePoly` values, like those in z.
+P's coefficients with alternating signs.  This module rebuilds the Legendre
+polynomial from the forward differences of the integers Q(0), ..., Q(d)
+(d = M t), giving a brute-force oracle that never touches the differential
+operators, and the basis change P -> Q (:func:`p_to_q`) goes through the
+same coefficients.  The module also hosts the combinatorial identities
+tying the transform T to the formal k-derivative of Q.  Polynomials in k
+are :class:`DensePoly` values, like those in z.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .errors import ParamError
-from .exact import DensePoly, binomial_integer
+from .exact import DensePoly
 from .legendre import ParamSet, christoffel_transform
 
 ORACLE_CAP = 200
 
 
 def _binomial_product(params: ParamSet, t: int, k: int) -> int:
-    """prod_j C(k + p_j t, (p_j + q_j) t), the polynomial Q at any integer k."""
+    """prod_j C(k + p_j t, (p_j + q_j) t), the polynomial Q at an integer k >= 0."""
     out = 1
     for p, q in params.pairs():
-        out *= binomial_integer(k + p * t, (p + q) * t)
+        out *= comb(k + p * t, (p + q) * t)
         if out == 0:
             return 0
     return out
-
-
-def _times_one_minus_z(c: list[int]) -> list[int]:
-    """Coefficients of (1-z) c: one first-difference pass."""
-    return [a - b for a, b in zip(c + [0], [0] + c)]
 
 
 # ---------------------------------------------------------------------------
@@ -67,26 +64,21 @@ def p_to_q(P: DensePoly) -> DensePoly:
 def oracle_legendre(params: ParamSet, t: int) -> DensePoly:
     """Rebuild the Legendre polynomial from its series coefficients alone.
 
-    Write P = sum_j a_j (1-z)^j, so that Q(k) = sum_j a_j C(k+j, j).  Since
-    C(-1-u+j, j) = (-1)^j C(u, j), the values Q(-1-u) = sum_j (-1)^j a_j C(u, j)
-    are in Newton's forward-difference form: (-1)^j a_j is the j-th forward
-    difference at u = 0 of the integers Q(-1), Q(-2), ..., Q(-1-d), d = M t;
-    the binomial product is a polynomial in k, so it gives Q at negative k
-    too.  P then follows by Horner's rule in (1-z).  Integers only throughout.
+    Q has degree d = M t, so the integers Q(0), Q(1), ..., Q(d) fix it, and
+    by Newton's forward-difference formula Q(k) = sum_i Delta^i Q(0) C(k, i).
+    Matched against Q(k) = sum_i (-1)^i c_i C(k, i), the coefficient c_i of
+    z^i is (-1)^i Delta^i Q(0), read off the difference table.  Integers
+    only throughout.
     """
     d = params.total_degree * t
     if d > ORACLE_CAP:
         raise ParamError(f"oracle capped at M*t <= {ORACLE_CAP}")
-    values = [_binomial_product(params, t, -1 - u) for u in range(d + 1)]
-    a = []
+    values = [_binomial_product(params, t, k) for k in range(d + 1)]
+    c = []
     while values:
-        a.append(-values[0] if len(a) % 2 else values[0])
+        c.append(-values[0] if len(c) % 2 else values[0])
         values = [y - x for x, y in zip(values, values[1:])]
-    P: list[int] = []
-    for aj in reversed(a):
-        P = _times_one_minus_z(P)
-        P[0] += aj
-    return DensePoly(P)
+    return DensePoly(c)
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +92,9 @@ def hyperharmonic_identity(j: int, k: int) -> tuple[bool, Fraction, Fraction]:
     """
     if j < 0 or k < 0:
         raise ParamError("j and k must be nonnegative")
-    lhs = binomial_integer(k + j, j) * sum(
+    lhs = comb(k + j, j) * sum(
         (Fraction(1, k + i) for i in range(1, j + 1)), Fraction(0))
-    rhs = sum((Fraction(binomial_integer(k + j - i, j - i), i)
+    rhs = sum((Fraction(comb(k + j - i, j - i), i)
                for i in range(1, j + 1)), Fraction(0))
     return lhs == rhs, lhs, rhs
 

@@ -24,6 +24,7 @@ from loglegendre.divisors import (
 from loglegendre.errors import ParamError
 from loglegendre.exact import DensePoly, lcm_clearing_multiplier, lcm_upto
 from loglegendre.legendre import (
+    MIN_PRECISION,
     ParamSet,
     legendre_poly,
     transform_iterates,
@@ -370,6 +371,13 @@ class TestDivisorRate:
     def test_zero_profile(self):
         params = ParamSet(p=(4,), q=(2,), z=Fraction(-1))
         assert divisor_rate(params, 128) == 0
+
+    def test_precision_floor(self, example1):
+        for bits in (-5, MIN_PRECISION - 1):
+            with pytest.raises(ParamError):
+                divisor_rate(example1, bits)
+        low = divisor_rate(example1, MIN_PRECISION)
+        assert abs(low - divisor_rate(example1, 192)) < low * mp.mpf(2) ** -60
 
     def test_convergence_trend(self, example1):
         delta = float(divisor_rate(example1, 128))

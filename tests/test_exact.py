@@ -7,7 +7,6 @@ import pytest
 
 from loglegendre.exact import (
     DensePoly,
-    binomial_integer,
     crt_pair,
     decimal_digits,
     first_dependency_mod,
@@ -78,29 +77,6 @@ class TestPrimes:
             primes_in_range(-1, 5)
         with pytest.raises(ValueError):
             primes_in_range(7, 3)
-
-
-class TestBinomial:
-    def test_examples(self):
-        assert binomial_integer(4, 5) == 0
-        assert binomial_integer(7, 0) == 1
-        assert binomial_integer(-3, 2) == 6
-
-    def test_falling_factorial_oracle(self):
-        rng = random.Random(4)
-        for _ in range(100):
-            nn = rng.randint(-20, 20)
-            m = rng.randint(0, 10)
-            num = Fraction(1)
-            for i in range(m):
-                num *= nn - i
-            num /= math.factorial(m)
-            assert num.denominator == 1
-            assert binomial_integer(nn, m) == num.numerator
-
-    def test_negative_lower_index_rejected(self):
-        with pytest.raises(ValueError):
-            binomial_integer(3, -1)
 
 
 class TestFixedLog:

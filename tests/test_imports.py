@@ -5,7 +5,9 @@ No linter ships with the project, so this walks each file's AST: a name
 bound by an import must occur as a name somewhere in the file.
 src/loglegendre/__init__.py is left out there, since its imports are the
 package's re-exports; each of those must occur as a name or an attribute in
-another module of src or in bench.
+another module of src or in bench.  So must every public function and class
+defined at the top level of a module of src, so that code only the tests
+call stays out of the package.
 """
 
 import ast
@@ -54,10 +56,30 @@ def test_guard_sees_names_and_attributes():
     assert referenced_names("import os\nos.path.join(a, b=c)\n") == {"os", "path", "join", "a", "c"}
 
 
+def program_names() -> set[str]:
+    """The names that the modules of src, past __init__.py, and bench read."""
+    return set().union(*(referenced_names(p.read_text(encoding="utf-8"))
+                         for p in SRC + sorted((ROOT / "bench").glob("*.py"))))
+
+
 def test_every_reexport_is_used():
     init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     exported = {a.asname or a.name for node in ast.walk(init)
                 if isinstance(node, ast.ImportFrom) for a in node.names}
-    used = set().union(*(referenced_names(p.read_text(encoding="utf-8"))
-                         for p in SRC + sorted((ROOT / "bench").glob("*.py"))))
-    assert sorted(exported - used) == []
+    assert sorted(exported - program_names()) == []
+
+
+def public_definitions(source: str) -> set[str]:
+    """The public functions and classes that source defines at its top level."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+
+
+def test_guard_sees_public_definitions():
+    source = "def f():\n    def g(): pass\nclass C:\n    def m(self): pass\ndef _h(): pass\n"
+    assert public_definitions(source) == {"f", "C"}
+
+
+def test_every_public_definition_is_used():
+    defined = set().union(*(public_definitions(p.read_text(encoding="utf-8")) for p in SRC))
+    assert sorted(defined - program_names()) == []

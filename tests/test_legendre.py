@@ -10,6 +10,7 @@ from loglegendre.corpus import oracle_corpus
 from loglegendre.errors import ParamError, PrecisionError
 from loglegendre.exact import DensePoly
 from loglegendre.legendre import (
+    MIN_PRECISION,
     ParamSet,
     check_integer_coefficients,
     check_roots_in_unit_interval,
@@ -305,6 +306,16 @@ class TestFunctionValue:
                 vals[(j, t)] = abs(v)
         for j in (1, 2):
             assert vals[(j, 4)] < vals[(j, 2)]
+
+    def test_precision_floor(self, example1):
+        # at 0 bits the value would be rounding noise (-3.7e-9 here)
+        L = legendre_poly(example1, 2)
+        for bits in (0, MIN_PRECISION - 1):
+            with pytest.raises(ParamError):
+                legendre_function_value(example1, 2, 1, bits, L=L)
+        low = legendre_function_value(example1, 2, 1, MIN_PRECISION, L=L)
+        high = legendre_function_value(example1, 2, 1, 128, L=L)
+        assert abs(low - high) < abs(high) * mp.mpf(2) ** -60
 
     def test_j_out_of_range(self, example1):
         with pytest.raises(ParamError):

@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 
 from loglegendre.errors import HypothesisError, ParamError
-from loglegendre.legendre import ParamSet
+from loglegendre.legendre import MIN_PRECISION, ParamSet
 from loglegendre.measures import (
     growth_decay_rates,
     measure_bound,
@@ -156,3 +156,25 @@ class TestFrozenReports:
         for params in preset_catalog().values():
             measure_bound(params, 256)
         assert calls == []
+
+
+class TestPrecisionFloor:
+    def test_zero_bits_is_a_usage_error(self, example1):
+        # the distinctness margin 2^-(precision // 4) would be 1: a false
+        # hypothesis failure
+        with pytest.raises(ParamError):
+            measure_bound(example1, 0)
+
+    def test_eight_bits_is_a_usage_error(self, example1):
+        # the outward rounding 1 + 2^-(precision - 8) would double the exponent
+        with pytest.raises(ParamError):
+            measure_bound(example1, 8)
+
+    def test_floor_is_inclusive_for_every_preset(self):
+        assert MIN_PRECISION == 64
+        for name, params in preset_catalog().items():
+            with pytest.raises(ParamError):
+                measure_bound(params, MIN_PRECISION - 1)
+            low = measure_bound(params, MIN_PRECISION).approx_exponent
+            high = measure_bound(params, 512).approx_exponent
+            assert abs(low - high) < high * mp.mpf(2) ** -48, name

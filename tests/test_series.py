@@ -6,9 +6,10 @@ import pytest
 
 from loglegendre.corpus import oracle_corpus
 from loglegendre.errors import ParamError
-from loglegendre.exact import DensePoly, binomial_integer
+from loglegendre.exact import DensePoly
 from loglegendre.legendre import ParamSet, christoffel_transform, legendre_poly, legendre_reduced
 from loglegendre.series import (
+    ORACLE_CAP,
     derivative_series_identity,
     hyperharmonic_identity,
     oracle_legendre,
@@ -41,7 +42,7 @@ class TestSeriesCoefficient:
         for k in range(10):
             want = 1
             for p, q in example1.pairs():
-                want *= binomial_integer(k + p, p + q)
+                want *= comb(k + p, p + q)
             assert _binomial_product(example1, 1, k) == want
 
 
@@ -89,7 +90,7 @@ class TestInterpolation:
         for k in (-3, -2, -1, 0, 1, 5):
             want = 1
             for p, q in example1.pairs():
-                want *= binomial_integer(k + p, p + q)
+                want *= comb(k + p, p + q)
             assert Q.evaluate(k) == want
 
 
@@ -111,6 +112,18 @@ class TestOracle:
     def test_cap(self, example1):
         with pytest.raises(ParamError):
             oracle_legendre(example1, 100)
+        three = ParamSet(p=(1, 2), q=(0, 0), z=Fraction(-1))
+        assert three.total_degree * 67 == ORACLE_CAP + 1
+        with pytest.raises(ParamError):
+            oracle_legendre(three, 67)
+
+    def test_at_the_cap(self, example1):
+        # the largest coefficients of the difference table: degree 195, then 200
+        assert example1.total_degree * 13 == 195
+        assert oracle_legendre(example1, 13) == legendre_poly(example1, 13)
+        five = ParamSet(p=(1, 1, 2), q=(0, 1, 0), z=Fraction(-1, 2))
+        assert five.total_degree * 40 == ORACLE_CAP
+        assert oracle_legendre(five, 40) == legendre_poly(five, 40)
 
 
 class TestHyperharmonic:
