@@ -241,8 +241,10 @@ def digamma(x: Fraction, precision: int) -> mp.mpf:
     rounded and truncated, log(2m) from the kernel), and the roundings of
     result and rational shift add their sizes times u, at most 2^(b+3) u
     in all for 0 < x <= 1 (for larger x the shift's rounding is relative),
-    so the total stays below 2^(3b+5) u = 2^-(precision + 3).
+    so the total stays below 2^(3b+5) u = 2^-(precision + 3).  A precision
+    below legendre.MIN_PRECISION raises ParamError.
     """
+    check_precision(precision)
     x = Fraction(x)
     if x <= 0:
         raise ParamError("digamma requires x > 0")

@@ -1,14 +1,18 @@
 """Multiple Legendre polynomials, the averaging transform T, and log forms.
 
-The polynomials are built by composing differential operators
+The polynomials are defined by composing differential operators
 
     D[p,q](P) = z^q (1-z)^p D_{p+q}( z^p (1-z)^q P(z) ),
 
 where D_m is the m-th derivative divided by m!.  Applying D[p_1*t, q_1*t]
 after ... after D[p_n*t, q_n*t] to the constant 1 yields an integer
-polynomial of degree M*t with M = sum(p_l + q_l).  One loop carries the
-composition as z^s (1-z)^e c (see :func:`_compose`); L and the reduced
-polynomial are read from its last state.  The transform
+polynomial L of degree M*t with M = sum(p_l + q_l).  One loop carries the
+composition as z^s (1-z)^e c (see :func:`_compose`); the reduced polynomial
+is read from its last state.  L itself is built from a linear recurrence of
+order n in the coefficient index (:func:`_index_relation`), n small-by-big
+products and one exact division per coefficient where the composition
+makes one pass over the list per factor (1-z); the composition stays as
+the definition that the structural checks compare L against.  The transform
 
     T(P)(z) = integral_0^1 (P(z) - P(y)) / (z - y) dy
 
@@ -52,6 +56,7 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_DOWN, Context, Decimal
 from fractions import Fraction
 from itertools import accumulate, permutations
 from math import comb, factorial, prod
+from operator import mul
 from typing import Optional, Sequence
 
 import mpmath as mp
@@ -190,11 +195,101 @@ def _legendre_scaled(pairs: Sequence[tuple[int, int]], t: int) -> list[int]:
     return [0] * s + _mul_one_minus_z_pow(c, e)
 
 
+def _difference_table(values: list[int]) -> list[list[int]]:
+    """[values, their forward differences, ..., down to a single entry]."""
+    table = [values]
+    while len(table[-1]) > 1:
+        v = table[-1]
+        table.append([y - x for x, y in zip(v, v[1:])])
+    return table
+
+
+def _index_relation(pairs: Sequence[tuple[int, int]], t: int, lo: int, count: int
+                    ) -> list[tuple[int, ...]]:
+    """For l = lo, ..., lo + count - 1 (lo >= 0), the weights
+    (w_(n-1)(l), ..., w_0(l), g(l+1)) of the relation
+
+        g(l+1) b_(l+1) + sum_{j<n} w_j(l) b_(l-j) = 0,
+
+    where b_i = (-1)^i c_i for L = sum_i c_i z^i, g(k) = prod_j (k - Q_j),
+    f(k) = prod_j (k + 1 + P_j), u = g - f and, with the forward difference
+    Delta,
+
+        w_j(l) = C(l, j) Delta^j u(l-j) + C(l+1, j+1) Delta^(j+1) g(l-j).
+
+    Derivation (P_j = p_j t, Q_j = q_j t, H_j = P_j + Q_j).  The b_i are the
+    Newton coefficients at k = 0 of Q(k) = prod_j C(k + P_j, H_j) (see the
+    ``series`` docstring): Q(k) = sum_i b_i C(k, i).  As polynomials in k,
+    g(k+1) Q(k+1) = f(k) Q(k), since C(k+1+P, H) (k+1-Q) = (k+1+P) C(k+P, H).
+    For a polynomial v, the coefficient of C(k, l) in v(k) C(k, i) is
+    C(l, i) Delta^(l-i) v(i) (expand Delta^l at 0), and the coefficients of
+    h(k+1) are those of h at l and l+1 summed (C(k+1, l) = C(k, l) +
+    C(k, l-1)).  So the coefficient of C(k, l) on the left less that on the
+    right is the relation above.  Its order is n, not n+1: u has degree
+    below n and g degree n, so the weight of b_(l-n) vanishes.  Each weight
+    is a polynomial of degree at most n in l, so it is evaluated at the n+1
+    points lo..lo+n and extended to the whole run by n prefix sums of its
+    differences there.
+    """
+    n = len(pairs)
+    base = lo - n + 1
+    pts = range(base, lo + n + 2)
+    g = [prod(i - q * t for _, q in pairs) for i in pts]
+    dg = _difference_table(g)
+    du = _difference_table([x - prod(i + 1 + p * t for p, _ in pairs) for x, i in zip(g, pts)])
+    window = [[comb(l, j) * du[j][l - j - base] + comb(l + 1, j + 1) * dg[j + 1][l - j - base]
+               for j in range(n - 1, -1, -1)] + [g[l + 1 - base]]
+              for l in range(lo, lo + n + 1)]
+    runs = []
+    for column in zip(*window):
+        firsts = [d[0] for d in _difference_table(list(column))]
+        run = [firsts.pop()] * count  # the n-th difference is constant
+        for first in reversed(firsts):
+            run = list(accumulate(run[:-1], initial=first))
+        runs.append(run)
+    return list(zip(*runs))
+
+
+def _legendre_coeffs(pairs: Sequence[tuple[int, int]], t: int) -> list[int]:
+    """Integer coefficients of L over (p_l t, q_l t), t >= 0, solved from the
+    relation of :func:`_index_relation` in the coefficient index.
+
+    With K = max_j Q_j and d = M t, b_i = 0 for i < K (L vanishes to order
+    K at z = 0), so b_K = Q(K) = prod_j C(K + P_j, H_j).  For l = K, ...,
+    d - 1 the relation at l gives b_(l+1), since g(l+1) = prod_j (l + 1 - Q_j)
+    is positive there: n products of a big integer by a small one and one
+    exact division per coefficient, where the composition of the operators
+    costs one pass over the list per factor (1 - z).  Two checks come free:
+    every division is exact, and the relation at l = d gives b_(d+1) = 0
+    (deg Q = d); InternalCheckError otherwise.  Ints only, and independent
+    of the series oracle, which checks this arithmetic.
+    """
+    n, d = len(pairs), sum(p + q for p, q in pairs) * t
+    K = max(q for _, q in pairs) * t
+    b = [0] * (n - 1 + K) + [prod(comb(K + p * t, (p + q) * t) for p, q in pairs)]  # b_i at i+n-1
+    for l, row in enumerate(_index_relation(pairs, t, K, d - K + 1), K):
+        num = -sum(map(mul, row, b[l:l + n]))
+        if l == d:
+            if num:
+                raise InternalCheckError(f"index relation leaves b_{d + 1} = {num} != 0")
+            break
+        x, rem = divmod(num, row[-1])
+        if rem:
+            raise InternalCheckError(f"index relation: inexact division at l = {l}")
+        b.append(x)
+    return [-x if i % 2 else x for i, x in enumerate(b[n - 1:])]
+
+
 def legendre_poly(params: ParamSet, t: int) -> DensePoly:
-    """The multiple Legendre polynomial at scale t; integer coefficients, degree M*t."""
+    """The multiple Legendre polynomial at scale t; integer coefficients, degree M*t.
+
+    Built by :func:`_legendre_coeffs`; the composition of the operators
+    (:func:`_legendre_scaled`) is the definition that the structural checks
+    compare it against.
+    """
     if t < 1:
         raise ParamError("t must be >= 1")
-    poly = DensePoly(_legendre_scaled(params.pairs(), t))
+    poly = DensePoly(_legendre_coeffs(params.pairs(), t))
     if poly.degree != params.total_degree * t:
         raise InternalCheckError(
             f"degree {poly.degree} != {params.total_degree * t} after construction"
@@ -514,11 +609,16 @@ def check_degree_and_orders(params: ParamSet, t: int, L: DensePoly) -> IdentityR
 
 
 def check_pair_symmetry(params: ParamSet, t: int, rng: random.Random) -> IdentityReport:
+    """The composition over any order of the pairs is legendre_poly.
+
+    Every order for n <= 3; above, the given order and 6 random ones.  The
+    given order comes first either way, so the check always compares the
+    operators' definition with the index recurrence that builds L.
+    """
     base = legendre_poly(params, t)
     idx = list(range(params.n))
-    trials = 6 if params.n > 3 else None
-    perms = ([tuple(rng.sample(idx, len(idx))) for _ in range(trials)] if trials
-             else list(permutations(idx)))
+    perms = (list(permutations(idx)) if params.n <= 3 else
+             [tuple(idx)] + [tuple(rng.sample(idx, len(idx))) for _ in range(6)])
     for perm in perms:
         if DensePoly(_legendre_scaled([params.pairs()[i] for i in perm], t)) != base:
             return IdentityReport("pair-symmetry", False, f"permutation {perm}")
@@ -587,7 +687,12 @@ def check_roots_in_unit_interval(params: ParamSet, t: int) -> IdentityReport:
 
 
 def check_orthogonality(params: ParamSet, t: int, rng: random.Random) -> IdentityReport:
-    """T^m(W * reduced) = W * T^m(reduced) for integer W, deg W <= (p_1+q_1) t."""
+    """T^m(W * reduced) = W * T^m(reduced) for integer W, deg W <= (p_1+q_1) t.
+
+    Every product is of integer polynomials: T^m(W reduced) = (1/den') nums'
+    and W T^m(reduced) = (1/den) W nums, on the cleared forms, are equal
+    exactly when den nums' = den' W nums.
+    """
     if params.m is None:
         return IdentityReport("orthogonality", True, "skipped: no m")
     core = legendre_reduced(params, t)
@@ -597,7 +702,8 @@ def check_orthogonality(params: ParamSet, t: int, rng: random.Random) -> Identit
     for _ in range(params.m):
         lhs = christoffel_transform(lhs)
         rhs = christoffel_transform(rhs)
-    ok = lhs == W * rhs
+    (den_l, nums_l), (den_r, nums_r) = lhs.cleared(), rhs.cleared()
+    ok = DensePoly(nums_l) * den_r == W * DensePoly(nums_r) * den_l
     return IdentityReport("orthogonality", ok,
                           None if ok else f"W={list(W.coeffs)}")
 

@@ -16,9 +16,13 @@ P's coefficients with alternating signs.  This module rebuilds the Legendre
 polynomial from the forward differences of the integers Q(0), ..., Q(d)
 (d = M t), giving a brute-force oracle that never touches the differential
 operators, and the basis change P -> Q (:func:`p_to_q`) goes through the
-same coefficients.  The module also hosts the combinatorial identities
-tying the transform T to the formal k-derivative of Q.  Polynomials in k
-are :class:`DensePoly` values, like those in z.
+same coefficients.  ``legendre_poly`` builds L from the same identity:
+the ratio Q(k+1)/Q(k) gives a recurrence for the Newton coefficients.  The
+two share no arithmetic, so the oracle's difference table checks the
+recurrence's, and the composition of the operators checks the identity.
+The module also hosts the combinatorial identities tying the transform T
+to the formal k-derivative of Q.  Polynomials in k are :class:`DensePoly`
+values, like those in z.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ import mpmath as mp
 from .errors import HypothesisError, InternalCheckError, ParamError, PrecisionError
 from .exact import (DensePoly, crt_pair, first_dependency_mod, fixed_log, modular_prime,
                     rational_reconstruction)
-from .legendre import ParamSet, _legendre_scaled
+from .legendre import ParamSet, _legendre_coeffs, check_precision
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +207,10 @@ def characteristic_roots(params: ParamSet, precision: int = 512) -> SpectralData
     integers; log2_root_radius is log2 of the largest radius rounded up to an
     integer.  PrecisionError if the locator does not converge, a root is not
     refined, or two disks meet.  The roots are returned, and the values
-    computed, as mpc at work = precision + 64 bits.
+    computed, as mpc at work = precision + 64 bits.  A precision below
+    legendre.MIN_PRECISION raises ParamError.
     """
+    check_precision(precision)
     _, coeffs = characteristic_polynomial(params).cleared()
     w, starts = _locate_roots(coeffs)
     refined = [_newton_root(coeffs, x, y, w, precision) for x, y in starts]
@@ -396,7 +398,7 @@ def recurrence_witness(params: ParamSet, t: int) -> RecurrenceWitness:
     sizes = [Lbound + M * (n - l) + 1 for l in range(n + 1)]  # columns per l
     if sum(sizes) > WITNESS_MAX_COLUMNS or rows > WITNESS_MAX_ROWS:
         raise ParamError("instance too large for exact elimination")
-    scaled = [_legendre_scaled(params.pairs(), t + l) for l in range(n + 1)]
+    scaled = [_legendre_coeffs(params.pairs(), t + l) for l in range(n + 1)]
     columns = []
     for l, size in enumerate(sizes):
         for i in range(size):

@@ -324,6 +324,14 @@ class TestDigamma:
         with pytest.raises(ParamError):
             digamma(Fraction(0), 64)
 
+    def test_precision_floor(self):
+        # below the floor the guard bits outweigh the precision: at 0 bits
+        # psi(1/3) = -3.13203378... came out as -3.1318359375
+        for bits in (-5, 0, MIN_PRECISION - 1):
+            with pytest.raises(ParamError):
+                digamma(Fraction(1, 3), bits)
+        self.assert_matches_mpmath([Fraction(1, 3), Fraction(1)], MIN_PRECISION)
+
 
 class TestGaussTables:
     @pytest.mark.parametrize("m", [2, 3, 7, 41, 97])

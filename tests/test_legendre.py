@@ -1,18 +1,21 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import mpmath as mp
 import pytest
 
 from loglegendre import legendre as legendre_module
 from loglegendre.corpus import oracle_corpus
-from loglegendre.errors import ParamError, PrecisionError
+from loglegendre.errors import InternalCheckError, ParamError, PrecisionError
 from loglegendre.exact import DensePoly
 from loglegendre.legendre import (
     MIN_PRECISION,
     ParamSet,
+    _legendre_scaled,
     check_integer_coefficients,
+    check_orthogonality,
+    check_pair_symmetry,
     check_roots_in_unit_interval,
     check_trivial_integrality,
     check_unit_interval_bound,
@@ -129,6 +132,63 @@ class TestLegendrePoly:
     def test_t_validation(self, example1):
         with pytest.raises(ParamError):
             legendre_poly(example1, 0)
+
+
+class TestIndexRecurrence:
+    """legendre_poly, built by the relation in the coefficient index, against
+    the composition of the operators that defines L."""
+
+    def test_presets(self):
+        for name, params in preset_catalog().items():
+            for t in range(1, 9):
+                assert legendre_poly(params, t) == DensePoly(
+                    _legendre_scaled(params.pairs(), t)), f"{name} t={t}"
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("with_m", [False, True])
+    def test_corpus(self, seed, with_m):
+        for params, t in oracle_corpus(seed, 40, max_weight=200, with_m=with_m):
+            assert legendre_poly(params, t) == DensePoly(
+                _legendre_scaled(params.pairs(), t)), f"p={params.p} q={params.q} t={t}"
+
+    def test_log2_m1_t150(self):
+        params = preset_catalog()["log2-m1"]
+        assert legendre_poly(params, 150) == DensePoly(_legendre_scaled(params.pairs(), 150))
+
+    def test_relation_holds_on_the_composition(self, example1):
+        # at every l >= 0, on b_i = (-1)^i c_i of the definition, zero
+        # outside 0..d; the last weight is g(l+1) = prod_j (l + 1 - q_j t)
+        t = 2
+        c = _legendre_scaled(example1.pairs(), t)
+        n, d = example1.n, len(c) - 1
+        b = [0] * (n - 1) + [-x if i % 2 else x for i, x in enumerate(c)] + [0] * (n + 1)
+        rows = legendre_module._index_relation(example1.pairs(), t, 0, d + n)
+        assert len(rows) == d + n
+        for l, row in enumerate(rows):
+            assert row[-1] == prod(l + 1 - q * t for q in example1.q)
+            assert sum(w * x for w, x in zip(row, b[l:l + n + 1])) == 0, f"l={l}"
+
+    @pytest.mark.parametrize("column", range(4))
+    def test_perturbed_relation_raises(self, example1, monkeypatch, column):
+        real = legendre_module._index_relation
+
+        def perturbed(pairs, t, lo, count):
+            return [row[:column] + (row[column] + 1,) + row[column + 1:]
+                    for row in real(pairs, t, lo, count)]
+
+        monkeypatch.setattr(legendre_module, "_index_relation", perturbed)
+        with pytest.raises(InternalCheckError):
+            legendre_poly(example1, 3)
+
+    def test_builds_without_difference_passes(self, monkeypatch):
+        def refuse(c, k):
+            raise AssertionError("a (1-z) difference pass in construction")
+
+        monkeypatch.setattr(legendre_module, "_mul_one_minus_z_pow", refuse)
+        for params in preset_catalog().values():
+            assert legendre_poly(params, 2).degree == params.total_degree * 2
+        with pytest.raises(AssertionError):
+            legendre_reduced(preset_catalog()["log2-m1"], 2)
 
 
 def reduced_by_deflation(params, t):
@@ -402,6 +462,24 @@ class TestStructuralSuite:
         rep = check_trivial_integrality(example1, 1, L)
         assert not rep.passed
         assert rep.witness == "content denominator 7 does not divide 2"
+
+    def test_pair_symmetry_compares_the_given_order_first(self, monkeypatch):
+        # n = 4 samples random orders, and the unpermuted composition must
+        # still be compared with legendre_poly
+        params = ParamSet(p=(1, 2, 1, 3), q=(0, 1, 1, 2), z=Fraction(-1))
+        assert check_pair_symmetry(params, 1, random.Random(0)).passed
+        good = legendre_poly(params, 1)
+        off = DensePoly(good.coeffs[:3] + (good.coeffs[3] + 1,) + good.coeffs[4:])
+        monkeypatch.setattr(legendre_module, "legendre_poly", lambda params, t: off)
+        rep = check_pair_symmetry(params, 1, random.Random(0))
+        assert not rep.passed
+        assert rep.witness == "permutation (0, 1, 2, 3)"
+
+    def test_orthogonality_fails_off_the_reduced_polynomial(self, example1, monkeypatch):
+        assert check_orthogonality(example1, 2, random.Random(0)).passed
+        core = legendre_reduced(example1, 2)
+        monkeypatch.setattr(legendre_module, "legendre_reduced", lambda params, t: core + poly(1))
+        assert not check_orthogonality(example1, 2, random.Random(0)).passed
 
     def test_fault_injection(self):
         corrupted = poly(1, Fraction(1, 3), 2)

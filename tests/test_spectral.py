@@ -12,7 +12,7 @@ from loglegendre.corpus import oracle_corpus
 from loglegendre import spectral
 from loglegendre.errors import HypothesisError, InternalCheckError, ParamError, PrecisionError
 from loglegendre.exact import DensePoly, rational_reconstruction
-from loglegendre.legendre import ParamSet, _legendre_scaled
+from loglegendre.legendre import MIN_PRECISION, ParamSet, _legendre_scaled
 from loglegendre.measures import measure_bound, preset_catalog
 from loglegendre.spectral import (
     RecurrenceWitness,
@@ -115,6 +115,14 @@ class TestRoots:
             for y in sd.roots:
                 assert min(abs(y - o) for o in other) < mp.mpf(2) ** -100
 
+
+    def test_precision_floor(self, example1):
+        for bits in (0, MIN_PRECISION - 1):
+            with pytest.raises(ParamError):
+                characteristic_roots(example1, bits)
+            with pytest.raises(ParamError):
+                spectral_data(example1, bits)
+        assert characteristic_roots(example1, MIN_PRECISION).precision == MIN_PRECISION
 
     def test_no_convergence_is_precision_error(self, example1, monkeypatch):
         # one Durand-Kerner sweep from the fixed starts does not converge
