@@ -218,9 +218,6 @@ class DensePoly:
     def __repr__(self):
         return f"DensePoly({list(self.coeffs)!r})"
 
-    def __getitem__(self, k: int) -> Rational:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "DensePoly") -> "DensePoly":
@@ -252,18 +249,6 @@ class DensePoly:
         return DensePoly([c * other for c in self.coeffs])
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "DensePoly":
-        if k < 0:
-            raise ValueError("negative powers are not polynomials")
-        out = DensePoly([1])
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def evaluate(self, x: Rational) -> Fraction:
         """P(x) as an exact rational: Horner's rule in integers on the cleared

@@ -35,10 +35,8 @@ number-theoretic transform for large operands; CPython ints use Karatsuba):
 - slot width: 10^w exceeds 2h times the sum of all weights, which bounds
   every slot of the product, so its digits are the sums.
 
-The iterates T^j(L) are transforms of a shorter polynomial: L = W R with the
-boundary factor W = z^(q_1 t) (1-z)^(p_1 t), and T^j(L) = W T^j(R) because R
-and its transforms are orthogonal to every polynomial of degree below
-deg W = (p_1 + q_1) t (see :func:`transform_iterates`).
+The iterates T^j(L) are computed by their definition, T of the previous
+iterate; no identity that holds only by orthogonality enters them.
 
 Construction and transforms are exact integer/rational work, safe across
 threads: the transform runs in a decimal context of its own with unbounded
@@ -351,9 +349,9 @@ def _toeplitz_tail(nums: list[int], inv: list[int]) -> list[int]:
     next.
 
     Memory: the digit strings and r, v and r*v are O(d w); the measured
-    peak (tracemalloc) is about 5 bytes per digit of d w, 2.0 MB for
-    log2-m2 at t = 24 (d = 528, w = 699) and 10.5 MB for log2-m1 at
-    t = 128 (d = 1280, w = 1626).
+    peak (tracemalloc) is about 5 bytes per digit of d w, 2.7 MB for
+    log2-m2 at t = 24 (d = 672, w = 799) and 20.9 MB for log2-m1 at
+    t = 128 (d = 1920, w = 2061).
 
     Operands are packed from one decimal digit string each, with the
     digits from ``Decimal`` rather than str(int), and the low slots are
@@ -410,30 +408,11 @@ def christoffel_transform(P: DensePoly) -> DensePoly:
 
 
 def transform_iterates(params: ParamSet, t: int, L: DensePoly, m: int) -> list[DensePoly]:
-    """[T(L), T^2(L), ..., T^m(L)] for L = legendre_poly(params, t), computed
-    as T^j(L) = W T^j(R) from the quotient R = L/W of degree (M - H_1) t.
+    """[T(L), T^2(L), ..., T^m(L)] for L = legendre_poly(params, t), each
+    iterate the transform of the one before.
 
-    W = z^(q_1 t) (1-z)^(p_1 t), of degree H_1 t = (p_1 + q_1) t, is the
-    boundary factor that the outermost operator puts around L, so R is the
-    reduced polynomial up to sign.  For any polynomial P,
-
-        T(W P)(z) - W(z) T(P)(z) = integral_0^1 P(y) (W(z) - W(y))/(z - y) dy,
-
-    and the kernel (W(z) - W(y))/(z - y) is a polynomial in y of degree
-    below H_1 t.  R and its first m-1 transforms are orthogonal on [0, 1] to
-    every polynomial of degree below H_1 t: the multiple orthogonality of
-    the forms, under the monotonicity that params.m carries, which
-    :func:`check_orthogonality` verifies on its own.  So the integral
-    vanishes for P = T^(j-1)(R), and T^j(W R) = W T^j(R) follows one iterate
-    at a time.  Each transform then has degree (M - H_1) t instead of M t.
-
-    L must be legendre_poly(params, t): an L of another degree, or one that
-    W does not divide exactly, raises ParamError.  R is L's coefficients
-    without the q_1 t leading zeros, prefix-summed p_1 t times (one prefix
-    sum divides by 1-z); the last p_1 t sums must be zero.  Each T^j(R) is
-    multiplied back by (1-z)^(p_1 t) on its integer numerators and shifted
-    by z^(q_1 t), so the Fractions of T^j(L) are built once.  m must not
-    exceed params.m.
+    m must lie in 1..params.m, and L must have degree M t; ParamError
+    otherwise.
     """
     if params.m is None or m > params.m:
         raise ParamError("m exceeds the order carried by the parameter set")
@@ -441,19 +420,9 @@ def transform_iterates(params: ParamSet, t: int, L: DensePoly, m: int) -> list[D
         raise ParamError("m must be >= 1")
     if L.degree != params.total_degree * t:
         raise ParamError(f"L has degree {L.degree}, not M t = {params.total_degree * t}")
-    p, q = params.p[0] * t, params.q[0] * t
-    r = L.coeffs[q:]
-    for _ in range(p):
-        r = list(accumulate(r))
-    if any(L.coeffs[:q]) or any(r[-p:]):
-        raise ParamError(f"L is not divisible by z^{q} (1-z)^{p}, so not legendre_poly")
-    cur = DensePoly(r[:-p])
-    out = []
-    for _ in range(m):
-        cur = christoffel_transform(cur)
-        den, nums = cur.cleared()
-        nums = _mul_one_minus_z_pow(nums, p)
-        out.append(DensePoly([0] * q + [Fraction(c, den) for c in nums]))
+    out = [christoffel_transform(L)]
+    for _ in range(m - 1):
+        out.append(christoffel_transform(out[-1]))
     return out
 
 

@@ -265,35 +265,40 @@ def char_values(params: ParamSet, spectral: SpectralData) -> SpectralData:
     under u each, and the rounding of the log to work bits its size times
     u.  The threshold is within 2u before its rounding
     (:func:`_log_threshold`).  So every comparison is decided to far better
-    than the slack 2^-(precision/4), inside which a tie re-runs the roots at
-    twice the precision.
+    than the slack 2^-(precision/4).  A log|v_h| inside the slack re-runs the
+    roots at twice the precision, at most twice; one still inside at four
+    times the requested precision is taken for an exact tie, which no
+    precision decides, and raises PrecisionError.
     """
-    precision = spectral.precision
-    work = precision + 64
-    values = spectral.values
-    # A true root cannot make v vanish: at y = q_j the characteristic
-    # polynomial is zeta prod_l (q_j + p_l) != 0, and at y = -p_j it is
-    # -(zeta - 1) prod_l (-p_j - q_l) != 0, since z is outside [0, 1].
-    # Legitimate values can be exponentially small, so only an exact zero
-    # (a root not from this polynomial) is rejected.
-    if any(v == 0 for v in values):
-        raise HypothesisError("a characteristic value vanishes (root collides with some q_j)")
-    with mp.workprec(work):
-        logs = [mp.mpf((fixed_log(*abs(v).man_exp, work), -work)) for v in values]
-        log_thr = _log_threshold(params)
-        slack = mp.mpf(2) ** (-(precision // 4))
-        if any(abs(lg - log_thr) < slack for lg in logs):
-            # a value sits on the threshold; re-run everything sharper
-            if precision > 1 << 20:
-                raise PrecisionError("threshold comparison undecidable at sane precision")
-            sharper = characteristic_roots(params, precision * 2)
-            return char_values(params, sharper)
-        below = [lg for lg in logs if lg <= log_thr]
-        if not below:
-            raise HypothesisError("no characteristic value below the size threshold")
-        return replace(spectral, log_abs_values=tuple(+lg for lg in logs),
-                       log_v_max=+max(logs), log_v_capped=+max(below),
-                       log_threshold=+log_thr)
+    requested = spectral.precision
+    while True:
+        precision = spectral.precision
+        work = precision + 64
+        values = spectral.values
+        # A true root cannot make v vanish: at y = q_j the characteristic
+        # polynomial is zeta prod_l (q_j + p_l) != 0, and at y = -p_j it is
+        # -(zeta - 1) prod_l (-p_j - q_l) != 0, since z is outside [0, 1].
+        # Legitimate values can be exponentially small, so only an exact zero
+        # (a root not from this polynomial) is rejected.
+        if any(v == 0 for v in values):
+            raise HypothesisError("a characteristic value vanishes (root collides with some q_j)")
+        with mp.workprec(work):
+            logs = [mp.mpf((fixed_log(*abs(v).man_exp, work), -work)) for v in values]
+            log_thr = _log_threshold(params)
+            slack = mp.mpf(2) ** (-(precision // 4))
+            if not any(abs(lg - log_thr) < slack for lg in logs):
+                below = [lg for lg in logs if lg <= log_thr]
+                if not below:
+                    raise HypothesisError("no characteristic value below the size threshold")
+                return replace(spectral, log_abs_values=tuple(+lg for lg in logs),
+                               log_v_max=+max(logs), log_v_capped=+max(below),
+                               log_threshold=+log_thr)
+            if precision >= 4 * requested:
+                raise PrecisionError(
+                    f"threshold tie: a log|v_h| lies within 2^-{precision // 4} of the "
+                    f"size threshold {mp.nstr(log_thr, 15)} at {precision} bits, four "
+                    f"times the requested {requested}; an exact tie is undecidable")
+        spectral = characteristic_roots(params, 2 * precision)
 
 
 def spectral_data(params: ParamSet, precision: int = 512) -> SpectralData:

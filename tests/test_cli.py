@@ -432,6 +432,16 @@ class TestExitCodeMapping:
         assert "internal error" in err and "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("command, extra", [("bound", ["--precision", "64"]),
+                                                ("bound", []),
+                                                ("asymptotics", ["--t-max", "10"])])
+    def test_exact_threshold_tie_maps_to_4(self, capsys, command, extra):
+        # z = -1/3, p = (1, 1), q = (0, 0): v = 4 and 4/9, and the threshold is exactly 4
+        code, out, err = run(capsys, command, "--z=-1/3", "--p", "1,1", "--q", "0,0",
+                             "--m", "1", *extra)
+        assert code == 4
+        assert "threshold tie" in err and out == ""
+
     def test_low_precision_rejected(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["bound", "--preset", "log2-m1", "--precision", "32"])

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from math import prod
 
 import mpmath as mp
 import pytest
@@ -21,6 +22,11 @@ from loglegendre.exact import (
 
 def poly(*coeffs):
     return DensePoly(coeffs)
+
+
+def power(P, k):
+    """P^k as k DensePoly products."""
+    return prod([P] * k, start=DensePoly([1]))
 
 
 def shifted_legendre(n):
@@ -183,7 +189,7 @@ class TestDecimalDigits:
 class TestUnitIntervalSignVariations:
     def test_roots_at_the_endpoints(self):
         # z (1-z)^2 (z - 1/2): a double root at 1 and a root at 0
-        p = poly(0, 1) * poly(1, -1) ** 2 * poly(Fraction(-1, 2), 1)
+        p = poly(0, 1) * power(poly(1, -1), 2) * poly(Fraction(-1, 2), 1)
         assert unit_interval_sign_variations(p) == (0, 0)
         assert unit_interval_sign_variations(poly(0, 0, 0, 1)) == (0, 0)
 
@@ -198,7 +204,7 @@ class TestUnitIntervalSignVariations:
         base = shifted_legendre(6)
         assert unit_interval_sign_variations(poly(Fraction(1, 2), 1) * base) == (1, 0)
         assert unit_interval_sign_variations(poly(Fraction(-3, 2), 1) * base) == (0, 1)
-        assert unit_interval_sign_variations(poly(1, 2) ** 2 * poly(-3, 2)) == (2, 1)
+        assert unit_interval_sign_variations(power(poly(1, 2), 2) * poly(-3, 2)) == (2, 1)
 
     def test_constants(self):
         assert unit_interval_sign_variations(DensePoly()) == (0, 0)

@@ -6,8 +6,8 @@ bound by an import must occur as a name somewhere in the file.
 src/loglegendre/__init__.py is left out there, since its imports are the
 package's re-exports; each of those must occur as a name or an attribute in
 another module of src or in bench.  So must every public function and class
-defined at the top level of a module of src, so that code only the tests
-call stays out of the package.
+defined at the top level of a module of src, and every public method of
+those classes, so that code only the tests call stays out of the package.
 """
 
 import ast
@@ -70,14 +70,19 @@ def test_every_reexport_is_used():
 
 
 def public_definitions(source: str) -> set[str]:
-    """The public functions and classes that source defines at its top level."""
-    return {node.name for node in ast.parse(source).body
+    """The public functions and classes that source defines at its top level,
+    and the public methods of those classes (dunders are not public)."""
+    top = ast.parse(source).body
+    methods = [node for cls in top if isinstance(cls, ast.ClassDef) for node in cls.body]
+    return {node.name for node in top + methods
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
 
 
 def test_guard_sees_public_definitions():
-    source = "def f():\n    def g(): pass\nclass C:\n    def m(self): pass\ndef _h(): pass\n"
-    assert public_definitions(source) == {"f", "C"}
+    source = ("def f():\n    def g(): pass\nclass C:\n    def m(self): pass\n"
+              "    def __len__(self): pass\n    def _n(self):\n        def k(): pass\n"
+              "def _h(): pass\n")
+    assert public_definitions(source) == {"f", "C", "m"}
 
 
 def test_every_public_definition_is_used():

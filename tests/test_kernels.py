@@ -8,9 +8,10 @@
   than CPython's int-str digit limit (the default one and the lowest it
   accepts) or made of whole 600-digit pieces, and in threads whose decimal
   context would round;
-- transform_iterates, which goes through the reduced polynomial, against
-  the plain christoffel_transform chain on L, and its rejection of an L
-  that is not legendre_poly(params, t);
+- transform_iterates, the christoffel_transform chain on L, against the
+  boundary factor times the iterates of the reduced polynomial, which the
+  multiple orthogonality makes equal, and its rejection of an L of the
+  wrong degree;
 - frozen SHA-256 digests of large constructions and transforms, and of L
   and the reduced polynomial for every preset at t = 1, 2, 3, 6 and for two
   seeded corpora (data/construct_sha256.json);
@@ -25,6 +26,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -68,6 +70,11 @@ def sha256(P: DensePoly) -> str:
     return hashlib.sha256(P.render().encode()).hexdigest()
 
 
+def power(P, k):
+    """P^k as k DensePoly products."""
+    return prod([P] * k, start=DensePoly([1]))
+
+
 def preset_digests(params) -> dict[str, list[str]]:
     """{t: [sha256 of L, sha256 of the reduced polynomial]} over PRESET_SCALES."""
     return {str(t): [sha256(legendre_poly(params, t)), sha256(legendre_reduced(params, t))]
@@ -91,7 +98,7 @@ class TestOneMinusZPower:
             k = rng.randint(0, 25)
             got = _mul_one_minus_z_pow(list(c), k)
             assert len(got) == len(c) + k
-            assert DensePoly(got) == DensePoly(c) * DensePoly([1, -1]) ** k
+            assert DensePoly(got) == DensePoly(c) * power(DensePoly([1, -1]), k)
 
     def test_input_unchanged(self):
         c = [3, -1, 4]
@@ -278,15 +285,27 @@ class TestDecimalContext:
 
 
 class TestReducedIterates:
-    """transform_iterates goes through the quotient R = L/W, W the boundary
-    factor z^(q_1 t) (1-z)^(p_1 t); its output must equal the plain chain
-    T(L), T(T(L)), ... of christoffel_transform on L itself."""
+    """The iterates of L against those of the reduced polynomial R.  With the
+    boundary factor W = z^(q_1 t) (1-z)^(p_1 t), L = (-1)^(q_1 t) W R, and
+
+        T(W P)(z) - W(z) T(P)(z) = integral_0^1 P(y) (W(z) - W(y))/(z - y) dy,
+
+    whose kernel is a polynomial in y of degree below deg W.  R and its first
+    m-1 transforms are orthogonal on [0, 1] to every such polynomial (the
+    multiple orthogonality, under the monotonicity that params.m carries),
+    so T^j(L) = (-1)^(q_1 t) W T^j(R) for j <= m."""
 
     @staticmethod
-    def chain(L, m):
-        out = [christoffel_transform(L)]
-        while len(out) < m:
-            out.append(christoffel_transform(out[-1]))
+    def through_reduced(params, t):
+        """[(-1)^(q_1 t) W T^j(R) for j = 1..m]."""
+        q1t = params.q[0] * t
+        W = power(DensePoly([0, 1]), q1t) * power(DensePoly([1, -1]), params.p[0] * t)
+        W = -W if q1t % 2 else W
+        R, out = legendre_reduced(params, t), []
+        for _ in range(params.m):
+            R = christoffel_transform(R)
+            den, nums = R.cleared()  # an integer product, then one division
+            out.append(W * DensePoly(nums) * Fraction(1, den))
         return out
 
     @pytest.mark.parametrize("name", sorted(preset_catalog()))
@@ -294,28 +313,18 @@ class TestReducedIterates:
         params = preset_catalog()[name]
         for t in (1, 2, 3):
             L = legendre_poly(params, t)
-            assert transform_iterates(params, t, L, params.m) == self.chain(L, params.m), t
+            assert transform_iterates(params, t, L, params.m) == self.through_reduced(params, t), t
 
     def test_corpus(self):
         for params, t in oracle_corpus(seed=303, count=40, max_weight=60, with_m=True):
             L = legendre_poly(params, t)
-            assert transform_iterates(params, t, L, params.m) == self.chain(L, params.m), \
+            assert transform_iterates(params, t, L, params.m) == self.through_reduced(params, t), \
                 f"p={params.p} q={params.q} t={t}"
 
     def test_wrong_scale_rejected(self):
         params = preset_catalog()["log2-m2"]
         with pytest.raises(ParamError, match="degree"):
             transform_iterates(params, 3, legendre_poly(params, 4), 2)
-
-    @pytest.mark.parametrize("name, at", [("log2-m1", -1), ("hmv-n2", -1), ("log2-m1", 0)])
-    def test_changed_coefficient_rejected(self, name, at):
-        """A changed top coefficient breaks the division by (1-z)^(p_1 t),
-        and a nonzero constant term the one by z^(q_1 t) (q_1 = 1 here)."""
-        params = preset_catalog()[name]
-        cs = list(legendre_poly(params, 3).coeffs)
-        cs[at] += 1
-        with pytest.raises(ParamError, match="divisible"):
-            transform_iterates(params, 3, DensePoly(cs), 1)
 
 
 class TestFrozenDigests:

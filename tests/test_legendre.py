@@ -36,14 +36,19 @@ def poly(*cs):
     return DensePoly(cs)
 
 
+def power(P, k):
+    """P^k as k DensePoly products."""
+    return prod([P] * k, start=DensePoly([1]))
+
+
 def apply_dpq(p, q, P):
     """z^q (1-z)^p D_{p+q}( z^p (1-z)^q P ) from the definition: DensePoly
     products, p+q derivatives and a division by (p+q)!."""
     z, w = poly(0, 1), poly(1, -1)
-    inner = z ** p * w ** q * P
+    inner = power(z, p) * power(w, q) * P
     for _ in range(p + q):
         inner = inner.derivative()
-    return z ** q * w ** p * inner * Fraction(1, factorial(p + q))
+    return power(z, q) * power(w, p) * inner * Fraction(1, factorial(p + q))
 
 
 class TestParamSet:
@@ -107,8 +112,7 @@ class TestLegendrePoly:
         # (-z)^q (1-z)^p
         for p, q in [(1, 1), (2, 0), (1, 3)]:
             params = ParamSet(p=(p,), q=(q,), z=Fraction(-1))
-            want = poly(0, -1) ** q if q else poly(1)
-            want = want * poly(1, -1) ** p if p else want
+            want = power(poly(0, -1), q) * power(poly(1, -1), p)
             assert legendre_poly(params, 1) == want
 
     def test_n2_value(self):
@@ -438,7 +442,7 @@ class TestStructuralSuite:
         core = legendre_reduced(example1, 2)
         assert check_roots_in_unit_interval(example1, 2).passed
         # a real root at 3/2 and a double one at -1/2
-        bad = poly(-3, 2) * poly(1, 2) ** 2 * core
+        bad = poly(-3, 2) * power(poly(1, 2), 2) * core
         monkeypatch.setattr(legendre_module, "legendre_reduced", lambda params, t: bad)
         rep = check_roots_in_unit_interval(example1, 2)
         assert not rep.passed

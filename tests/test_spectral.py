@@ -411,6 +411,23 @@ class TestCharValues:
         spectral_data(preset_catalog()["log2-m2"], 512)
         assert len(calls) == 4
 
+    @pytest.mark.parametrize("p, q", [((1, 1), (1, 1)), ((1, 1), (0, 0)), ((2, 2), (0, 0)),
+                                      ((2, 2), (2, 2)), ((3, 3), (0, 0))])
+    def test_exact_threshold_tie_raises_after_two_doublings(self, monkeypatch, p, q):
+        # at z = -1/3 one |v_h| equals the threshold exactly, so no precision
+        # decides it: the roots run at the requested precision and at two
+        # doublings of it, then PrecisionError names the tie
+        calls = []
+
+        def counted(params, precision):
+            calls.append(precision)
+            return characteristic_roots(params, precision)
+
+        monkeypatch.setattr(spectral, "characteristic_roots", counted)
+        with pytest.raises(PrecisionError, match="threshold tie"):
+            spectral_data(ParamSet(p=p, q=q, z=Fraction(-1, 3)), 128)
+        assert calls == [128, 256, 512]
+
     @pytest.mark.parametrize("precision", [64, 512, 2048])
     def test_equal_modulus_pairs_by_argument(self, precision):
         # a conjugate pair has one |v| up to rounding, so the order promised
