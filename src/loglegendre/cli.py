@@ -31,6 +31,7 @@ from .exact import DensePoly, decimal_digits
 from .legendre import (
     MIN_PRECISION,
     ParamSet,
+    christoffel_transform,
     eval_at_rational,
     legendre_poly,
     reduced_form_value,
@@ -210,10 +211,17 @@ def _verify_derivative(count, seed):
 
 
 def _verify_integrality(count, seed):
+    # the iterates against their definition, T of the previous iterate
     for params, t in corpus.oracle_corpus(seed, count, max_weight=30, with_m=True):
-        transforms = transform_iterates(params, t, legendre_poly(params, t), params.m)
+        where = f"p={params.p} q={params.q} m={params.m} t={t}"
+        chain = [legendre_poly(params, t)]
+        transforms = transform_iterates(params, t, chain[0], params.m)
+        for _ in range(params.m):
+            chain.append(christoffel_transform(chain[-1]))
+        if transforms != chain[1:]:
+            yield f"  FAIL iterates at {where}"
         if not strong_integrality_check(params, t, transforms):
-            yield f"  FAIL integrality at p={params.p} q={params.q} m={params.m} t={t}"
+            yield f"  FAIL integrality at {where}"
 
 
 def cmd_verify(args) -> int:

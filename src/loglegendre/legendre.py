@@ -25,43 +25,33 @@ which are exponentially small compared to their two terms when z < 0.
 Evaluating them therefore needs the cancellation-aware precision policy
 implemented in :func:`legendre_function_value`.
 
-T is a Toeplitz product with the weights lcm(1..d)/j: the low d slots of
-the product of the reversed inputs and the weights, read from one Kronecker
-product in base 10^w by the ``decimal`` module (its multiplication is a
-number-theoretic transform for large operands; CPython ints use Karatsuba):
-
-- bias: the inputs are shifted by h = max |input| to lie in [0, 2h], and
-  h times a prefix sum of the weights is subtracted from each output;
-- slot width: 10^w exceeds 2h times the sum of all weights, which bounds
-  every slot of the product, so its digits are the sums.
-
-The iterates T^j(L) are computed by their definition, T of the previous
-iterate; no identity that holds only by orthogonality enters them.
+T is computed by its definition, a Toeplitz sum with the weights
+lcm(1..d)/j on the cleared integer coefficients; it is what the checks
+compare the iterates with.  The iterates T^j(L) come from the same index
+relation as L, differentiated j times in k (:func:`transform_iterates`),
+since T acts on Q as -d/dk: each coefficient of T^j(L) costs O(n j)
+small-by-big products and one exact division, where T by its definition
+costs O(d) products per coefficient.
 
 Construction and transforms are exact integer/rational work, safe across
-threads: the transform runs in a decimal context of its own with unbounded
-precision, and neither reads the precision nor changes the state of the
-thread's current context.  The form evaluations set the floating-point
-library's process-global precision, so parallelize those across processes
-instead.
+threads.  The form evaluations set the floating-point library's
+process-global precision, so parallelize those across processes instead.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_DOWN, Context, Decimal
 from fractions import Fraction
 from itertools import accumulate, permutations
 from math import comb, factorial, prod
 from operator import mul
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import mpmath as mp
 
 from .errors import InternalCheckError, ParamError, PrecisionError
-from .exact import (DensePoly, decimal_digits, lcm_clearing_multiplier, lcm_upto,
-                    unit_interval_sign_variations)
+from .exact import DensePoly, lcm_clearing_multiplier, lcm_upto, unit_interval_sign_variations
 
 IDENTITY_CAP = 60                  # largest M*t the identity suite will accept
 DEFAULT_GRID_STEP = Fraction(1, 1000)
@@ -202,8 +192,18 @@ def _difference_table(values: list[int]) -> list[list[int]]:
     return table
 
 
-def _index_relation(pairs: Sequence[tuple[int, int]], t: int, lo: int, count: int
-                    ) -> list[tuple[int, ...]]:
+def _linear_product_taylor(terms: Iterable[int], m: int) -> list[int]:
+    """The coefficients of y^0..y^m in prod_a (a + y), a over terms."""
+    if not m:
+        return [prod(terms)]
+    c = [1] + [0] * m
+    for a in terms:
+        c = [a * u + v for u, v in zip(c, [0] + c)]
+    return c
+
+
+def _index_relation(pairs: Sequence[tuple[int, int]], t: int, lo: int, count: int,
+                    s: int = 0) -> list[tuple[int, ...]]:
     """For l = lo, ..., lo + count - 1 (lo >= 0), the weights
     (w_(n-1)(l), ..., w_0(l), g(l+1)) of the relation
 
@@ -222,19 +222,24 @@ def _index_relation(pairs: Sequence[tuple[int, int]], t: int, lo: int, count: in
     For a polynomial v, the coefficient of C(k, l) in v(k) C(k, i) is
     C(l, i) Delta^(l-i) v(i) (expand Delta^l at 0), and the coefficients of
     h(k+1) are those of h at l and l+1 summed (C(k+1, l) = C(k, l) +
-    C(k, l-1)).  So the coefficient of C(k, l) on the left less that on the
-    right is the relation above.  Its order is n, not n+1: u has degree
-    below n and g degree n, so the weight of b_(l-n) vanishes.  Each weight
-    is a polynomial of degree at most n in l, so it is evaluated at the n+1
+    C(k, l-1)).  So, for any Y(k) = sum_i y_i C(k, i), the coefficient of
+    C(k, l) in g(k+1) Y(k+1) - f(k) Y(k) is the left side above with y for
+    b, and for Y = Q it is 0.  Its order is n, not n+1: u has degree
+    below n and g degree n, so the weight of b_(l-n) vanishes.  With s > 0,
+    g and f are replaced by their s-th derivatives g^(s) and f^(s)
+    throughout (the rows of :func:`transform_iterates`).  Each weight is a
+    polynomial of degree at most n in l, so it is evaluated at the n+1
     points lo..lo+n and extended to the whole run by n prefix sums of its
     differences there.
     """
     n = len(pairs)
     base = lo - n + 1
     pts = range(base, lo + n + 2)
-    g = [prod(i - q * t for _, q in pairs) for i in pts]
+    # g^(s)(i) and f^(s)(i) are s! [y^s] prod_j (i + c_j + y), over their shifts c_j
+    g, f = ([factorial(s) * _linear_product_taylor((i + c for c in shifts), s)[s] for i in pts]
+            for shifts in ([-q * t for _, q in pairs], [1 + p * t for p, _ in pairs]))
     dg = _difference_table(g)
-    du = _difference_table([x - prod(i + 1 + p * t for p, _ in pairs) for x, i in zip(g, pts)])
+    du = _difference_table([x - y for x, y in zip(g, f)])
     window = [[comb(l, j) * du[j][l - j - base] + comb(l + 1, j + 1) * dg[j + 1][l - j - base]
                for j in range(n - 1, -1, -1)] + [g[l + 1 - base]]
               for l in range(lo, lo + n + 1)]
@@ -314,102 +319,47 @@ def legendre_reduced(params: ParamSet, t: int) -> DensePoly:
 # the transform T
 # ---------------------------------------------------------------------------
 
-# Digits per int() call when a slot is read back.  Below 640, the smallest
-# int-str digit limit CPython accepts, so no limit applies to the pieces.
-_INT_PIECE = 600
-_INT_PIECE_BASE = 10 ** _INT_PIECE
-
-
-def _slot_digits(bound: int) -> int:
-    """A digit count w with 10^w > bound >= 0 (log10 2 < 0.30103)."""
-    return bound.bit_length() * 30103 // 100000 + 1
-
-
-def _toeplitz_tail(nums: list[int], inv: list[int]) -> list[int]:
-    """out[i] = sum_{k>i} nums[k] inv[k-i] for 0 <= i < d = len(nums) - 1,
-    where inv has d+1 entries, inv[0] is unused and inv[1..d] are positive.
-
-    A short product by Kronecker substitution in base X = 10^w, multiplied
-    by ``decimal``, whose large products use libmpdec's number-theoretic
-    transform where CPython's ints use Karatsuba.  With
-
-        r = sum_{a<d} (nums[d-a] + h) X^a,    v = sum_{c<d} inv[c+1] X^c,
-
-    slot d-1-i of r*v is the biased out[i], and only the low d slots of
-    r*v are read; libmpdec has no short product, so its d-1 high slots are
-    computed and dropped.
-
-    Bias: with h = max_{k>=1} |nums[k]|, the inputs nums[k] + h lie in
-    [0, 2h], so every slot is a nonnegative integer.  The biased sums
-    exceed out[i] by h S(d-i), S(n) = inv[1] + ... + inv[n], which one
-    prefix sum removes.
-
-    Slot width: a slot of r*v adds, for distinct c, at most 2h inv[c+1],
-    so every slot is at most 2h S(d) < 10^w, and no slot carries into the
-    next.
-
-    Memory: the digit strings and r, v and r*v are O(d w); the measured
-    peak (tracemalloc) is about 5 bytes per digit of d w, 2.7 MB for
-    log2-m2 at t = 24 (d = 672, w = 799) and 20.9 MB for log2-m1 at
-    t = 128 (d = 1920, w = 2061).
-
-    Operands are packed from one decimal digit string each, with the
-    digits from ``Decimal`` rather than str(int), and the low slots are
-    read back as one digit string the same way.  Each slot is int() over
-    pieces of at most _INT_PIECE = 600 digits, combined by Horner's rule;
-    600 is below 640, the smallest int-str digit limit CPython accepts, so
-    no limit applies at any w (the pure-Python ``_pydecimal`` converts ints
-    through str and keeps the limit).  The arithmetic runs in a private
-    context with unbounded precision and exponent, never in the thread's
-    current context, so it is exact and safe to call from several threads
-    at once.
-    """
-    d = len(nums) - 1
-    if d <= 0:
-        return []
-    h = max(map(abs, nums[1:]))
-    prefix = [0] * (d + 1)
-    for j in range(1, d + 1):
-        prefix[j] = prefix[j - 1] + inv[j]
-    w = _slot_digits(2 * h * prefix[d])
-    ctx = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, rounding=ROUND_DOWN)
-    r = Decimal("".join([decimal_digits(x + h).zfill(w) for x in nums[1:]]))  # slot a: nums[d-a]
-    v = Decimal("".join([decimal_digits(x).zfill(w) for x in inv[d:0:-1]]))   # slot c: inv[c+1]
-    rv = ctx.multiply(r, v)
-    high = ctx.to_integral_value(ctx.scaleb(rv, -w * d))
-    text = format(ctx.subtract(rv, ctx.scaleb(high, w * d)), "f").zfill(w * d)
-    head = w % _INT_PIECE or _INT_PIECE  # digits in a slot's first piece
-    out = [0] * d
-    for i in range(d):  # text piece i is slot d-1-i
-        a = w * i
-        x = int(text[a:a + head])
-        for c0 in range(a + head, a + w, _INT_PIECE):
-            x = x * _INT_PIECE_BASE + int(text[c0:c0 + _INT_PIECE])
-        out[i] = x - h * prefix[d - i]
-    return out
-
-
 def christoffel_transform(P: DensePoly) -> DensePoly:
-    """T(P)(z) = integral_0^1 (P(z)-P(y))/(z-y) dy, via T(z^k) = sum_{i<k} z^i/(k-i).
+    """T(P)(z) = integral_0^1 (P(z)-P(y))/(z-y) dy, by its definition
+    T(z^k) = sum_{i<k} z^i/(k-i).
 
     With P = (1/den) sum_k nums[k] z^k and big = lcm(1..d), the coefficient
-    of z^i is sum_{k>i} nums[k] (big/(k-i)) / (den big), a Toeplitz product
-    of the weights big/m of :func:`_iterate_weights` (j = 1), computed by
-    :func:`_toeplitz_tail`.
+    of z^i is sum_{k>i} nums[k] (big/(k-i)) / (den big), with the weights
+    big/m of :func:`_iterate_weights` (j = 1): O(d^2) products of a
+    coefficient by a weight.  The iterates of L come from
+    :func:`transform_iterates`; this is the definition that the checks
+    compare them with.
     """
     d = len(P.coeffs) - 1
     if d <= 0:
         return DensePoly()
     den, nums = P.cleared()
     big = lcm_upto(d)
-    out = _toeplitz_tail(nums, _iterate_weights(d, 1, big))
+    inv = _iterate_weights(d, 1, big)[1:]
     full_den = den * big
-    return DensePoly([Fraction(c, full_den) for c in out])
+    return DensePoly([Fraction(sum(map(mul, nums[i + 1:], inv)), full_den) for i in range(d)])
 
 
 def transform_iterates(params: ParamSet, t: int, L: DensePoly, m: int) -> list[DensePoly]:
-    """[T(L), T^2(L), ..., T^m(L)] for L = legendre_poly(params, t), each
-    iterate the transform of the one before.
+    """[T(L), T^2(L), ..., T^m(L)] for L = legendre_poly(params, t), solved
+    from the relation of :func:`_index_relation` differentiated in k.
+
+    Write Y_j = Q^(j) = sum_i y_i C(k, i) for Q(k) = sum_i b_i C(k, i), b_i =
+    (-1)^i c_i.  Since p_to_q(T P) = -(d/dk) p_to_q(P) (see
+    ``series.derivative_series_identity``), T^j(L) = sum_i (-1)^(i+j) y_i z^i.
+    Differentiating g(k+1) Q(k+1) = f(k) Q(k) j times gives
+
+        sum_{s=0..j} C(j, s) [g^(s)(k+1) Y_(j-s)(k+1) - f^(s)(k) Y_(j-s)(k)] = 0,
+
+    and the coefficient of C(k, l) in its s-th term is the relation row at l
+    for g^(s), f^(s).  So, as for L, y_(l+1) follows from y_0..y_l and the
+    earlier iterates, with one division by g(l+1) per coefficient; scaled by
+    big^j, big = lcm(1..d), every y_i is an integer (each T multiplies the
+    denominators by a divisor of big).  Where g(l+1) = 0 (at
+    l + 1 = q_i t) the row must vanish, and y_(l+1), like y_0, comes from the
+    value Y_j(x) = j! [y^j] Q(x + y), expanded over Q's linear factors to
+    degree m.  Checks: every division is exact, and y_i = 0 for i > d - j
+    (deg T^j(L) = d - j); InternalCheckError otherwise.
 
     m must lie in 1..params.m, and L must have degree M t; ParamError
     otherwise.
@@ -420,9 +370,46 @@ def transform_iterates(params: ParamSet, t: int, L: DensePoly, m: int) -> list[D
         raise ParamError("m must be >= 1")
     if L.degree != params.total_degree * t:
         raise ParamError(f"L has degree {L.degree}, not M t = {params.total_degree * t}")
-    out = [christoffel_transform(L)]
-    for _ in range(m - 1):
-        out.append(christoffel_transform(out[-1]))
+    pairs, d = params.pairs(), L.degree
+    n, big = len(pairs), lcm_upto(d)
+    rows = [_index_relation(pairs, t, 0, d, s) for s in range(m + 1)]
+    # x -> the coefficients of y^0..y^m in hfact Q(x + y), over Q's linear factors
+    taylor = {x: _linear_product_taylor(
+        (a for p, q in pairs for a in range(x - q * t + 1, x + p * t + 1)), m)
+        for x in {0, *(q * t for _, q in pairs)}}
+    hfact = prod(factorial((p + q) * t) for p, q in pairs)
+
+    def value_coefficient(y: list[int], j: int, x: int) -> int:
+        """y_x from big^j Y_j(x) = sum_{i<=x} y_i C(x, i); y holds y_0..y_(x-1)."""
+        v, rem = divmod(big ** j * factorial(j) * taylor[x][j], hfact)
+        if rem:
+            raise InternalCheckError(f"iterate {j}: big^j Y_j({x}) is not an integer")
+        return v - sum(map(mul, y[n - 1:], (comb(x, i) for i in range(x))))
+
+    ys = [[0] * (n - 1) + [-c if i % 2 else c for i, c in enumerate(L.cleared()[1])]]
+    out = []
+    for j in range(1, m + 1):
+        scale = [comb(j, s) * big ** s for s in range(j + 1)]
+        y = [0] * (n - 1)
+        y.append(value_coefficient(y, j, 0))
+        for l, row in enumerate(rows[0]):
+            num = -sum(map(mul, row, y[l:l + n]))
+            for s in range(1, j + 1):
+                num -= scale[s] * sum(map(mul, rows[s][l], ys[j - s][l:l + n + 1]))
+            if row[-1]:
+                v, rem = divmod(num, row[-1])
+                if rem:
+                    raise InternalCheckError(f"iterate {j}: inexact division at l = {l}")
+            elif num:
+                raise InternalCheckError(f"iterate {j}: the relation at l = {l} is not 0")
+            else:
+                v = value_coefficient(y, j, l + 1)
+            y.append(v)
+        if any(y[n + d - j:]):
+            raise InternalCheckError(f"T^{j}(L) has a coefficient above z^{d - j}")
+        ys.append(y)
+        out.append(DensePoly([Fraction(-v if (i + j) % 2 else v, scale[j])
+                              for i, v in enumerate(y[n - 1:n + d - j])]))
     return out
 
 

@@ -21,8 +21,8 @@ the ratio Q(k+1)/Q(k) gives a recurrence for the Newton coefficients.  The
 two share no arithmetic, so the oracle's difference table checks the
 recurrence's, and the composition of the operators checks the identity.
 The module also hosts the combinatorial identities tying the transform T
-to the formal k-derivative of Q.  Polynomials in k are :class:`DensePoly`
-values, like those in z.
+to the formal k-derivative of Q, on which the iterates of T rest.
+Polynomials in k are :class:`DensePoly` values, like those in z.
 """
 
 from __future__ import annotations
@@ -108,7 +108,10 @@ def derivative_series_identity(P: DensePoly) -> bool:
 
     The sign is forced by the defining integral: T((1-z)^j) equals
     -sum_{i=1..j} (1-z)^(j-i)/i, so the series side picks up a minus sign
-    relative to the bare k-derivative.
+    relative to the bare k-derivative.  ``legendre.transform_iterates``
+    rests on this identity: it computes T^j(L) as (-1)^j times the j-th
+    k-derivative of Q.  ``verify --suite derivative`` checks the identity
+    here against the definition of T on random polynomials.
     """
     lhs = p_to_q(christoffel_transform(P))
     rhs = -p_to_q(P).derivative()

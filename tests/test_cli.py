@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from loglegendre import cli, legendre
+from loglegendre.exact import DensePoly
 
 
 def run(capsys, *argv):
@@ -215,6 +216,21 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--suite", suite, "--count", "5")
         assert code == 0
         assert f"{suite}: PASS" in out
+
+    def test_integrality_suite_names_a_wrong_iterate(self, capsys, monkeypatch):
+        real = cli.transform_iterates
+
+        def wrong(params, t, L, m):
+            out = real(params, t, L, m)
+            return out[:-1] + [out[-1] + DensePoly([1])]
+
+        monkeypatch.setattr(cli, "transform_iterates", wrong)
+        code, out, _ = run(capsys, "verify", "--suite", "integrality", "--count", "5")
+        assert code == cli.EXIT_INTERNAL
+        fails = [line for line in out.splitlines() if "FAIL iterates" in line]
+        assert len(fails) == 4  # max(4, count // 5) instances
+        assert all(line.strip().startswith("FAIL iterates at p=(") and " t=" in line
+                   for line in fails)
 
     def test_structural_suite_runs_the_checks_that_need_m(self, capsys, monkeypatch):
         calls = {"check_orthogonality": 0, "check_trivial_integrality": 0}

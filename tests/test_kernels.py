@@ -1,17 +1,15 @@
 """The integer kernels of the exact path against independent references.
 
 - multiplication by (1-z)^k (difference passes) against DensePoly products;
-- the transform T (the low slots of one Kronecker product in decimal)
-  against a Fraction evaluation of T(z^k) = sum_{i<k} z^i/(k-i) and the
-  direct Toeplitz sum, from degree 0 to 400 and up to a product of over a
-  million digits, with exactly one decimal multiply per call, slots wider
-  than CPython's int-str digit limit (the default one and the lowest it
-  accepts) or made of whole 600-digit pieces, and in threads whose decimal
-  context would round;
-- transform_iterates, the christoffel_transform chain on L, against the
-  boundary factor times the iterates of the reduced polynomial, which the
-  multiple orthogonality makes equal, and its rejection of an L of the
-  wrong degree;
+- the transform T (its definition on the cleared integer coefficients)
+  against a Fraction evaluation of T(z^k) = sum_{i<k} z^i/(k-i), from
+  degree 0 to 400;
+- transform_iterates (the index relation differentiated in k) against the
+  chain of christoffel_transform on L, and each of its checks firing on a
+  perturbed relation;
+- the same iterates against the boundary factor times the iterates of the
+  reduced polynomial, which the multiple orthogonality makes equal, and
+  the rejection of an L of the wrong degree;
 - frozen SHA-256 digests of large constructions and transforms, and of L
   and the reduced polynomial for every preset at t = 1, 2, 3, 6 and for two
   seeded corpora (data/construct_sha256.json);
@@ -19,12 +17,9 @@
   construction at degree 200, the oracle's cap.
 """
 
-import decimal
 import hashlib
 import json
 import random
-import sys
-import threading
 from fractions import Fraction
 from math import prod
 from pathlib import Path
@@ -33,13 +28,11 @@ import pytest
 
 from loglegendre.corpus import oracle_corpus
 from loglegendre import legendre
-from loglegendre.errors import ParamError
-from loglegendre.exact import DensePoly, lcm_upto
+from loglegendre.errors import InternalCheckError, ParamError
+from loglegendre.exact import DensePoly
 from loglegendre.legendre import (
     ParamSet,
     _mul_one_minus_z_pow,
-    _slot_digits,
-    _toeplitz_tail,
     christoffel_transform,
     legendre_poly,
     legendre_reduced,
@@ -114,87 +107,18 @@ class TestTransformKernel:
             P = DensePoly([rng.randint(-9, 9) for _ in range(d)] + [rng.randint(1, 9)])
             assert christoffel_transform(P) == transform_by_definition(P)
 
-    @staticmethod
-    def record_products(monkeypatch):
-        """Patch the kernel's decimal context to record, for each product,
-        the digit counts of its two operands."""
-        sizes = []
-
-        class Recording(decimal.Context):
-            def multiply(self, a, b):
-                sizes.append((len(a.as_tuple().digits), len(b.as_tuple().digits)))
-                return super().multiply(a, b)
-
-        monkeypatch.setattr(legendre, "Context", Recording)
-        return sizes
-
-    @staticmethod
-    def direct(nums, inv):
-        """The Toeplitz sums out[i] = sum_{k>i} nums[k] inv[k-i], term by term."""
-        d = len(nums) - 1
-        return [sum(nums[k] * inv[k - i] for k in range(i + 1, d + 1)) for i in range(d)]
-
     @pytest.mark.parametrize("d", [255, 256, 257, 258, 400])
-    def test_block_boundary(self, d, monkeypatch):
-        """Degrees 255-258 and 400 with 7-digit coefficients against the
-        definition, in one product."""
+    def test_block_boundary(self, d):
+        """Degrees 255-258 and 400 with 7-digit coefficients."""
         rng = random.Random(d)
         P = DensePoly([rng.randint(-10**6, 10**6) for _ in range(d)] + [-10**6])
-        sizes = self.record_products(monkeypatch)
         assert christoffel_transform(P) == transform_by_definition(P)
-        assert len(sizes) == 1
 
     @pytest.mark.parametrize("d", [50, 97, 121])
-    def test_forty_digit_values(self, d, monkeypatch):
+    def test_forty_digit_values(self, d):
         rng = random.Random(d)
-        nums = [rng.randint(-10**40, 10**40) for _ in range(d + 1)]
-        inv = [0] + [rng.randint(1, 10**8) for _ in range(d)]
-        sizes = self.record_products(monkeypatch)
-        assert _toeplitz_tail(nums, inv) == self.direct(nums, inv)
-        assert len(sizes) == 1
-
-    def test_product_over_a_million_digits(self, monkeypatch):
-        """d = 300 with 2000-digit values: slots of about 2130 digits, and
-        one product of two operands of about 640k digits each."""
-        rng = random.Random(300)
-        nums = [rng.randint(-10**2000, 10**2000) for _ in range(301)]
-        inv = [0] + [lcm_upto(300) // j for j in range(1, 301)]
-        sizes = self.record_products(monkeypatch)
-        assert _toeplitz_tail(nums, inv) == self.direct(nums, inv)
-        assert len(sizes) == 1 and sum(sizes[0]) > 10**6
-
-    def test_slots_beyond_int_str_limit(self):
-        # 9000-digit coefficients make slots of about 9050 digits; the
-        # kernel must not convert them through str(int) or int(str)
-        rng = random.Random(47)
-        P = DensePoly([rng.randint(-10**9000, 10**9000) for _ in range(20)] + [10**9000 - 1])
+        P = DensePoly([rng.randint(-10**40, 10**40) for _ in range(d)] + [10**40])
         assert christoffel_transform(P) == transform_by_definition(P)
-
-    def test_slots_beyond_lowest_int_str_limit(self):
-        # slots of about 2050 digits read back under 640, the lowest limit
-        # CPython accepts: every int() piece must stay below it
-        rng = random.Random(49)
-        P = DensePoly([rng.randint(-10**2000, 10**2000) for _ in range(30)] + [10**2000 - 1])
-        inv = [0] + [lcm_upto(30) // j for j in range(1, 31)]
-        assert _slot_digits(2 * 10**2000 * sum(inv)) > 640
-        old = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(640)
-        try:
-            got = christoffel_transform(P)
-        finally:
-            sys.set_int_max_str_digits(old)
-        assert got == transform_by_definition(P)
-
-    @pytest.mark.parametrize("w", [600, 1200])
-    def test_slots_of_whole_pieces(self, w):
-        """Slot widths that are multiples of the 600-digit int() piece, so
-        the first piece of a slot is a whole one."""
-        rng = random.Random(w)
-        inv = [0] + [rng.randint(1, 10**6) for _ in range(30)]
-        h = 10**w // (20 * sum(inv))
-        nums = [rng.randint(-h, h) for _ in range(30)] + [h]
-        assert _slot_digits(2 * h * sum(inv)) == w
-        assert _toeplitz_tail(nums, inv) == self.direct(nums, inv)
 
     def test_all_negative(self):
         rng = random.Random(42)
@@ -222,66 +146,65 @@ class TestTransformKernel:
                            for _ in range(d)] + [Fraction(rng.randint(1, 99), rng.randint(1, 60))])
             assert christoffel_transform(P) == transform_by_definition(P)
 
-    @pytest.mark.parametrize("b", range(1, 9))
-    def test_small_blocks(self, b, monkeypatch):
-        """Degrees 1, 2, b, b+1, 3b+2 and 25 against the direct sum, one
-        product per call."""
-        rng = random.Random(b)
-        sizes = self.record_products(monkeypatch)
-        degrees = (1, 2, b, b + 1, 3 * b + 2, 25)
-        for d in degrees:
-            nums = [rng.randint(-10**9, 10**9) for _ in range(d + 1)]
-            inv = [0] + [rng.randint(1, 10**6) for _ in range(d)]
-            inv[1] = 10**6  # the largest entry, as lcm(1..d)/j gives
-            assert _toeplitz_tail(nums, inv) == self.direct(nums, inv)
-        assert len(sizes) == len(degrees)
+
+def transform_chain(L, m):
+    """[T(L), ..., T^m(L)], each christoffel_transform of the one before."""
+    out = [christoffel_transform(L)]
+    for _ in range(m - 1):
+        out.append(christoffel_transform(out[-1]))
+    return out
 
 
-class TestDecimalContext:
-    """The kernel runs in a private decimal context: the thread's context,
-    here one that would round every product and trap the rounding, neither
-    changes the result nor is changed by the call."""
+class TestIteratesByRelation:
+    """transform_iterates against the definition, T of the previous iterate.
+    log2019-m4 (d = 185 t, m = 4) runs at t = 1 only: at t = 3 its chain
+    takes about a second, and TestReducedIterates covers t = 2, 3."""
 
-    @staticmethod
-    def instance():
-        params = preset_catalog()["log2-m2"]
-        L = legendre_poly(params, 6)
-        rng = random.Random(48)
-        nums = [rng.randint(-10**60, 10**60) for _ in range(41)]
-        inv = [0] + [lcm_upto(40) // j for j in range(1, 41)]
-        return L, nums, inv
+    @pytest.mark.parametrize("name", sorted(preset_catalog()))
+    def test_presets(self, name):
+        params = preset_catalog()[name]
+        for t in (1,) if name == "log2019-m4" else (1, 2, 3):
+            L = legendre_poly(params, t)
+            assert transform_iterates(params, t, L, params.m) == transform_chain(L, params.m), t
 
-    @staticmethod
-    def run(L, nums, inv, results, key):
-        ctx = decimal.Context(prec=5, traps=[decimal.Inexact, decimal.Rounded])
-        decimal.setcontext(ctx)
-        before = (ctx.prec, dict(ctx.flags), dict(ctx.traps))
-        out = (christoffel_transform(L), _toeplitz_tail(nums, inv))
-        after = (ctx.prec, dict(ctx.flags), dict(ctx.traps))
-        results[key] = (out, before, after, decimal.getcontext() is ctx)
+    def test_fewer_than_m(self):
+        params = preset_catalog()["log2019-m4"]
+        L = legendre_poly(params, 1)
+        for m in (1, 2, 3):
+            assert transform_iterates(params, 1, L, m) == transform_chain(L, m)
 
-    def check(self, n_threads):
-        L, nums, inv = self.instance()
-        want = (christoffel_transform(L), _toeplitz_tail(nums, inv))
-        results = {}
-        threads = [threading.Thread(target=self.run, args=(L, nums, inv, results, k))
-                   for k in range(n_threads)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-            assert not th.is_alive()
-        assert sorted(results) == list(range(n_threads))
-        for out, before, after, same_ctx in results.values():
-            assert out == want
-            assert before == after and same_ctx
-            assert not any(after[1].values())
+    def test_corpus(self):
+        for params, t in oracle_corpus(seed=303, count=40, max_weight=60, with_m=True):
+            L = legendre_poly(params, t)
+            assert transform_iterates(params, t, L, params.m) == transform_chain(L, params.m), \
+                f"p={params.p} q={params.q} t={t}"
 
-    def test_one_thread(self):
-        self.check(1)
+    # (s, row, column, added to the weight, the check that fires) on log2-m2
+    # at t = 2 (d = 56, q t = 2, 4, 6, 0): a left-side weight in the middle;
+    # the right-side weight of b_56 in the last row, raised by g(56) so that
+    # the division stays exact and T(L) gets a z^56 term; and the left-side
+    # weight of y_3 in the row before the zero of g at l + 1 = 4
+    PERTURBATIONS = [(0, 30, 0, 1, "inexact division"),
+                     (1, 55, 4, "g", "coefficient above"),
+                     (0, 3, 3, 1, "relation at l = 3")]
 
-    def test_two_threads_at_once(self):
-        self.check(2)
+    @pytest.mark.parametrize("s, at, column, delta, message", PERTURBATIONS)
+    def test_perturbed_relation_raises(self, monkeypatch, s, at, column, delta, message):
+        params, t = preset_catalog()["log2-m2"], 2
+        L = legendre_poly(params, t)
+        real = legendre._index_relation
+
+        def perturbed(pairs, t, lo, count, order=0):
+            rows = real(pairs, t, lo, count, order)
+            if order == s:
+                row = rows[at]
+                add = real(pairs, t, lo, count)[at][-1] if delta == "g" else delta
+                rows[at] = row[:column] + (row[column] + add,) + row[column + 1:]
+            return rows
+
+        monkeypatch.setattr(legendre, "_index_relation", perturbed)
+        with pytest.raises(InternalCheckError, match=message):
+            transform_iterates(params, t, L, params.m)
 
 
 class TestReducedIterates:
