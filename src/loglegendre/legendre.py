@@ -31,7 +31,10 @@ compare the iterates with.  The iterates T^j(L) come from the same index
 relation as L, differentiated j times in k (:func:`transform_iterates`),
 since T acts on Q as -d/dk: each coefficient of T^j(L) costs O(n j)
 small-by-big products and one exact division, where T by its definition
-costs O(d) products per coefficient.
+costs O(d) products per coefficient.  The value T^j(P)(z) at a rational
+point needs no iterate: one backward loop over the coefficients of P
+carries the suffix evaluation of P at z and j running sums
+(:func:`christoffel_value`), O(j d) big-integer operations.
 
 Construction and transforms are exact integer/rational work, safe across
 threads.  The form evaluations set the floating-point library's
@@ -83,9 +86,9 @@ class ParamSet:
         object.__setattr__(self, "q", q)
         if not p or len(p) != len(q):
             raise ParamError("p and q must be nonempty tuples of equal length")
-        if not (all(isinstance(x, int) for x in p + q + (self.m or 0,))
+        if not (all(type(x) is int for x in p + q + (self.m or 0,))
                 and isinstance(self.z, (int, Fraction))):
-            raise ParamError("p, q and m must be ints, and z an int or a Fraction")
+            raise ParamError("p, q and m must be ints, not bools, and z an int or a Fraction")
         object.__setattr__(self, "z", Fraction(self.z))
         if any(x <= 0 for x in p):
             raise ParamError("all p_j must be positive")
@@ -324,10 +327,10 @@ def christoffel_transform(P: DensePoly) -> DensePoly:
     T(z^k) = sum_{i<k} z^i/(k-i).
 
     With P = (1/den) sum_k nums[k] z^k and big = lcm(1..d), the coefficient
-    of z^i is sum_{k>i} nums[k] (big/(k-i)) / (den big), with the weights
-    big/m of :func:`_iterate_weights` (j = 1): O(d^2) products of a
-    coefficient by a weight.  The iterates of L come from
-    :func:`transform_iterates`; this is the definition that the checks
+    of z^i is sum_{k>i} nums[k] (big/(k-i)) / (den big): O(d^2) products of
+    a coefficient by a weight big/m.  The iterates of L come from
+    :func:`transform_iterates` and their values at a point from
+    :func:`christoffel_value`; this is the definition that the checks
     compare them with.
     """
     d = len(P.coeffs) - 1
@@ -335,7 +338,7 @@ def christoffel_transform(P: DensePoly) -> DensePoly:
         return DensePoly()
     den, nums = P.cleared()
     big = lcm_upto(d)
-    inv = _iterate_weights(d, 1, big)[1:]
+    inv = [big // k for k in range(1, d + 1)]
     full_den = den * big
     return DensePoly([Fraction(sum(map(mul, nums[i + 1:], inv)), full_den) for i in range(d)])
 
@@ -413,33 +416,22 @@ def transform_iterates(params: ParamSet, t: int, L: DensePoly, m: int) -> list[D
     return out
 
 
-def _iterate_weights(d: int, j: int, big: int) -> list[int]:
-    """big^j a_j(m) for m = 0..d, where T^j(z^k) = sum_{i<k} a_j(k-i) z^i.
-
-    a_j(m) = j! |s(m, j)| / m! (s a Stirling number of the first kind), the
-    z^m coefficient of (-log(1-z))^j; a_1(m) = 1/m.  With
-    e_r(m) = e_r(1, 1/2, ..., 1/(m-1)) the elementary symmetric functions,
-    a_j(m) = j! e_(j-1)(m) / m, and E_r(m) = big^r e_r(m) are integers for
-    big = lcm(1..d) obeying E_r(1) = 0 and E_r(m+1) = E_r(m) + E_(r-1)(m) big/m
-    (r >= 1).  So the rows X_r(m) = j! E_r(m) big/m start at
-    X_0(m) = j! big/m, and X_r(m) is big/m times the sum of X_(r-1) below m;
-    the weights are X_(j-1).  The rows are chained generators, so only the
-    last one is ever held.
-    """
-    top = factorial(j) * big
-    row = (top // m for m in range(1, d + 1))
-    for _ in range(j - 1):
-        row = (s * (big // m) for m, s in zip(range(1, d + 1), accumulate(row, initial=0)))
-    return [0, *row]
-
-
 def christoffel_value(P: DensePoly, z: Fraction, j: int = 1) -> Fraction:
     """T^j(P)(z) as an exact rational, without building T(P), ..., T^(j-1)(P).
 
-    With the suffix evaluations S_m = sum_{k>=m} c_k z^(k-m), which satisfy
-    S_m = c_m + z S_(m+1), T^j(P)(z) = sum_m a_j(m) S_m for the weights of
-    :func:`_iterate_weights` (a_1(m) = 1/m); O(deg) big-integer operations
-    plus O(j deg) for the weights.
+    T^j(z^k) = sum_{i<k} a_j(k-i) z^i, where a_j(m) = j! |s(m, j)| / m! (s a
+    Stirling number of the first kind), the z^m coefficient of
+    (-log(1-z))^j, equals j! e_(j-1)(1, 1/2, ..., 1/(m-1)) / m, and the
+    running sums X_r below build these weights without a table.  For
+    P = sum_k c_k z^k, one backward loop over m = d, ..., 1 runs the suffix
+    evaluations S_m = c_m + z S_(m+1) and
+
+        X_1(m) = X_1(m+1) + S_m / m,  X_r(m) = X_r(m+1) + X_(r-1)(m+1) / m,
+
+    from zero state at m = d + 1; then T^j(P)(z) = j! X_j(1).  With z = a/b,
+    P's cleared denominator den and big = lcm(1..d), the loop carries the
+    integers den b^(d-m) S_m and den b^(d-m) big^r X_r(m): O(j deg)
+    big-integer operations.
     """
     if j < 1:
         raise ParamError("j must be >= 1")
@@ -448,17 +440,16 @@ def christoffel_value(P: DensePoly, z: Fraction, j: int = 1) -> Fraction:
         return Fraction(0)
     den, nums = P.cleared()
     a, b = z.numerator, z.denominator
-    bp = [1] * (d + 1)
-    for i in range(1, d + 1):
-        bp[i] = bp[i - 1] * b
     big = lcm_upto(d)
-    weight = _iterate_weights(d, j, big)
-    u = nums[d]
-    total = u * weight[d] * bp[d - 1]
-    for m in range(d - 1, 0, -1):
-        u = nums[m] * bp[d - m] + a * u
-        total += u * weight[m] * bp[m - 1]
-    return Fraction(total, den * big ** j * bp[d - 1])
+    s, x, bp = 0, [0] * j, 1  # x[r - 1] carries X_r
+    for m in range(d, 0, -1):
+        s = nums[m] * bp + a * s
+        w = big // m
+        for r in range(j - 1, 0, -1):
+            x[r] = b * (x[r] + w * x[r - 1])
+        x[0] = b * x[0] + w * s
+        bp *= b
+    return Fraction(factorial(j) * x[-1], den * big ** j * b ** (d - 1))
 
 
 def eval_at_rational(P: DensePoly, z: Fraction) -> Fraction:

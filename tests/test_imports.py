@@ -8,6 +8,9 @@ package's re-exports; each of those must occur as a name or an attribute in
 another module of src or in bench.  So must every public function and class
 defined at the top level of a module of src, and every public method of
 those classes, so that code only the tests call stays out of the package.
+Every private function defined at the top level of a module of src must
+occur as a name or an attribute in src or in bench, so that a helper whose
+last caller went is deleted with it.
 """
 
 import ast
@@ -78,13 +81,26 @@ def public_definitions(source: str) -> set[str]:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
 
 
+def private_functions(source: str) -> set[str]:
+    """The private functions that source defines at its top level."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
+
+
 def test_guard_sees_public_definitions():
     source = ("def f():\n    def g(): pass\nclass C:\n    def m(self): pass\n"
               "    def __len__(self): pass\n    def _n(self):\n        def k(): pass\n"
-              "def _h(): pass\n")
+              "def _h(): pass\nclass _D:\n    def _e(self): pass\n"
+              "def _i():\n    def _j(): pass\n")
     assert public_definitions(source) == {"f", "C", "m"}
+    assert private_functions(source) == {"_h", "_i"}
 
 
 def test_every_public_definition_is_used():
     defined = set().union(*(public_definitions(p.read_text(encoding="utf-8")) for p in SRC))
+    assert sorted(defined - program_names()) == []
+
+
+def test_every_private_function_is_used():
+    defined = set().union(*(private_functions(p.read_text(encoding="utf-8")) for p in SRC))
     assert sorted(defined - program_names()) == []

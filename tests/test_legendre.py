@@ -73,7 +73,8 @@ class TestParamSet:
             ParamSet(p=(1, 2), q=(0, 1), z=Fraction(-1), m=2)
 
     @pytest.mark.parametrize("p, z, m", [((4, 5, 3), -0.1, 1), ((4.0, 5, 3), -1, 1),
-                                         ((4, 5, 3), -1, 1.5), ((4, 5, 3), "-1", 1)])
+                                         ((4, 5, 3), -1, 1.5), ((4, 5, 3), "-1", 1),
+                                         ((True, 5, 3), -1, 1), ((4, 5, 3), -1, True)])
     def test_rejects_non_int_entries_and_inexact_z(self, p, z, m):
         with pytest.raises(ParamError):
             ParamSet(p=p, q=(1, 2, 0), z=z, m=m)
@@ -306,6 +307,18 @@ class TestChristoffel:
             L = legendre_poly(example2, t)
             T2 = christoffel_transform(christoffel_transform(L))
             assert christoffel_value(L, example2.z, 2) == eval_at_rational(T2, example2.z)
+
+    def test_iterate_values_against_relation_iterates(self):
+        # at z with a denominator, against the coefficients of T^j(L) from the
+        # index relation, a route that never forms christoffel_value's sums
+        cases = [(params, t) for params, t in oracle_corpus(27, 20, max_weight=120, with_m=True)
+                 if params.z.denominator > 1]
+        assert cases
+        for params, t in cases:
+            L = legendre_poly(params, t)
+            iterates = transform_iterates(params, t, L, params.m)
+            for j, Tj in enumerate(iterates, 1):
+                assert christoffel_value(L, params.z, j) == Tj.evaluate(params.z)
 
     def test_iterate_order_validated(self):
         with pytest.raises(ParamError):
