@@ -261,6 +261,9 @@ def cmd_asymptotics(args) -> int:
     params = _resolve_params(args)
     if args.t_max is None:
         raise ParamError("--t-max is required")
+    if args.t_max < params.n + 3:
+        raise ParamError(f"--t-max must be at least n + 3 = {params.n + 3}, "
+                         f"the windowed fit's minimum, got {args.t_max}")
     if args.threads < 1:
         raise ParamError(f"--threads must be at least 1, got {args.threads}")
     seq = args.sequence

@@ -309,6 +309,8 @@ class DensePoly:
         """(den, nums), den the content denominator and nums the integer
         coefficients of den * P, so that P = (1/den) sum_k nums[k] z^k."""
         den = self.content_denominator()
+        if den == 1:
+            return 1, [c.numerator for c in self.coeffs]
         return den, [c.numerator * (den // c.denominator) for c in self.coeffs]
 
     def derivative(self) -> "DensePoly":

@@ -32,9 +32,11 @@ relation as L, differentiated j times in k (:func:`transform_iterates`),
 since T acts on Q as -d/dk: each coefficient of T^j(L) costs O(n j)
 small-by-big products and one exact division, where T by its definition
 costs O(d) products per coefficient.  The value T^j(P)(z) at a rational
-point needs no iterate: one backward loop over the coefficients of P
-carries the suffix evaluation of P at z and j running sums
-(:func:`christoffel_value`), O(j d) big-integer operations.
+point needs no iterate: the suffix evaluations of P at z, weighted by
+elementary symmetric sums of the 1/m, are summed by a product tree over
+blocks of 16 coefficients (:func:`christoffel_value`), so the
+coefficient-sized numbers meet only small factors (O(j d) such products)
+and the large products pair numbers of similar size.
 
 Construction and transforms are exact integer/rational work, safe across
 threads.  The form evaluations set the floating-point library's
@@ -421,35 +423,70 @@ def christoffel_value(P: DensePoly, z: Fraction, j: int = 1) -> Fraction:
 
     T^j(z^k) = sum_{i<k} a_j(k-i) z^i, where a_j(m) = j! |s(m, j)| / m! (s a
     Stirling number of the first kind), the z^m coefficient of
-    (-log(1-z))^j, equals j! e_(j-1)(1, 1/2, ..., 1/(m-1)) / m, and the
-    running sums X_r below build these weights without a table.  For
-    P = sum_k c_k z^k, one backward loop over m = d, ..., 1 runs the suffix
-    evaluations S_m = c_m + z S_(m+1) and
+    (-log(1-z))^j, equals j! e_(j-1)(1, 1/2, ..., 1/(m-1)) / m.  So with the
+    suffix evaluations S_m = c_m + z S_(m+1) of P = sum_k c_k z^k,
 
-        X_1(m) = X_1(m+1) + S_m / m,  X_r(m) = X_r(m+1) + X_(r-1)(m+1) / m,
+        T^j(P)(z) = j! sum_{m=1..d} (S_m / m) e_(j-1)(1/m' : m' < m).
 
-    from zero state at m = d + 1; then T^j(P)(z) = j! X_j(1).  With z = a/b,
-    P's cleared denominator den and big = lcm(1..d), the loop carries the
-    integers den b^(d-m) S_m and den b^(d-m) big^r X_r(m): O(j deg)
-    big-integer operations.
+    With z = a/b and P's cleared denominator den, a backward loop over
+    m = d, ..., 1 gives the integers s_m = den b^(d-m) S_m, and the sum is
+    split as a product tree: m = 1..d is cut into consecutive blocks
+    [lo, hi) of 16, and each block carries, for r < j, the integers
+
+        Q = prod m,  e_r = Q e_r(1/lo, ..., 1/(hi-1)),
+        f_r = Q sum_m b^(m-lo) (s_m / m) e_r(1/m' : lo <= m' < m)
+
+    (e_0 is Q).  Neighbouring blocks, A below B, merge by
+
+        Q = Q_A Q_B,  e_r = sum_u e_u(A) e_(r-u)(B),
+        f_r = f_r(A) Q_B + b^(len A) sum_u e_u(A) f_(r-u)(B).
+
+    The backward loop builds each block from its top down, merging in the
+    one-term block {m} below it (Q = m, e_1 = 1, f_0 = s_m): f_r <-
+    b (m f_r + f_(r-1)), f_0 <- s_m Q + b m f_0, then e_r <- m e_r + e_(r-1)
+    and Q <- m Q.  So each s_m meets small factors only, once, and is not
+    stored.  The blocks then merge pairwise, level by level, and over all of
+    1..d, T^j(P)(z) = j! f_(j-1) / (den Q b^(d-1)); the large products pair
+    numbers of similar size, O(j^2) per merge.  The levels run as a loop:
+    a recursive closure would form a reference cycle that keeps its blocks
+    alive until the cyclic collector runs.  j must be an int >= 1, not a
+    bool; ParamError otherwise.
     """
-    if j < 1:
-        raise ParamError("j must be >= 1")
+    if type(j) is not int or j < 1:
+        raise ParamError(f"j must be an int >= 1, got {j!r}")
     d = len(P.coeffs) - 1
     if d <= 0:
         return Fraction(0)
     den, nums = P.cleared()
     a, b = z.numerator, z.denominator
-    big = lcm_upto(d)
-    s, x, bp = 0, [0] * j, 1  # x[r - 1] carries X_r
-    for m in range(d, 0, -1):
-        s = nums[m] * bp + a * s
-        w = big // m
-        for r in range(j - 1, 0, -1):
-            x[r] = b * (x[r] + w * x[r - 1])
-        x[0] = b * x[0] + w * s
-        bp *= b
-    return Fraction(factorial(j) * x[-1], den * big ** j * b ** (d - 1))
+    s, bp, blocks, rs = 0, 1, [], range(j - 1, 0, -1)  # s = den b^(d-m) S_m
+    for lo in range(1 + (d - 1) // 16 * 16, 0, -16):  # 8 was slower, 32 no faster
+        hi = min(lo + 16, d + 1)
+        e, f = [1] + [0] * (j - 1), [0] * j
+        for m in range(hi - 1, lo - 1, -1):  # merge the one-term block {m} below
+            s = nums[m] * bp + a * s
+            bp *= b
+            bm = b * m
+            for r in rs:
+                f[r] = bm * f[r] + b * f[r - 1]
+                e[r] = m * e[r] + e[r - 1]
+            f[0] = s * e[0] + bm * f[0]
+            e[0] *= m
+        blocks.append((hi - lo, e, f))  # from the top down
+    blocks.reverse()
+    while len(blocks) > 1:
+        merged = []
+        for (la, ea, fa), (lb, eb, fb) in zip(blocks[::2], blocks[1::2]):
+            w, e, f = b ** la, [0] * j, [x * eb[0] for x in fa]
+            for u in range(j):
+                eu, weu = ea[u], w * ea[u]
+                for r in range(u, j):
+                    e[r] += eu * eb[r - u]
+                    f[r] += weu * fb[r - u]
+            merged.append((la + lb, e, f))
+        blocks = merged + blocks[len(merged) * 2:]
+    _, e, f = blocks[0]
+    return Fraction(factorial(j) * f[-1], den * e[0] * b ** (d - 1))
 
 
 def eval_at_rational(P: DensePoly, z: Fraction) -> Fraction:
@@ -479,12 +516,12 @@ def legendre_function_value(params: ParamSet, t: int, j: int, precision: int,
     The form is an exponentially small difference of exponentially large
     terms, so the working precision is raised above the exact bit magnitude
     of the terms, then once more after the result's own scale is known, so
-    the returned value carries `precision` significant bits.  A precision
-    below MIN_PRECISION raises ParamError, a working precision above
-    DEFAULT_MAX_WORKING_BITS PrecisionError.
+    the returned value carries `precision` significant bits.  A j that is
+    not an int in 1..m or a precision below MIN_PRECISION raises ParamError,
+    a working precision above DEFAULT_MAX_WORKING_BITS PrecisionError.
     """
-    if params.m is None or not 1 <= j <= params.m:
-        raise ParamError("need 1 <= j <= m")
+    if type(j) is not int or params.m is None or not 1 <= j <= params.m:
+        raise ParamError(f"need an int j with 1 <= j <= m, got {j!r}")
     check_precision(precision)
     lz, tz = eval_at_rational(L, params.z), christoffel_value(L, params.z, j)
     w = params.z / (params.z - 1)

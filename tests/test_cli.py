@@ -362,14 +362,18 @@ class TestAsymptoticsCommand:
         code, _, err = run(capsys, "asymptotics", "--preset", "log2-m1")
         assert code == 2
 
-    @pytest.mark.parametrize("t_max", ["3", "0", "-3"])
-    def test_too_short_range_is_usage_error(self, capsys, t_max):
-        # log2-m1 has n = 3, so the window fit needs --t-max >= n + 3 = 6
-        code, out, err = run(capsys, "asymptotics", "--preset", "log2-m1",
-                             "--t-max", t_max)
+    @pytest.mark.parametrize("t_max", ["5", "3", "0", "-3"])
+    def test_too_short_range_is_usage_error(self, capsys, monkeypatch, t_max):
+        # log2-m1 has n = 3, so the window fit needs --t-max >= n + 3 = 6;
+        # the I sequence at a high precision is refused before any value
+        calls = []
+        monkeypatch.setattr(cli, "_asym_point", lambda job: calls.append(job) or 1)
+        code, out, err = run(capsys, "asymptotics", "--preset", "log2-m1", "--sequence", "I",
+                             "--t-max", t_max, "--precision", "4096")
         assert code == 2
-        assert "usage error" in err and "Traceback" not in err
+        assert "usage error" in err and "n + 3 = 6" in err and "Traceback" not in err
         assert out == ""
+        assert calls == []
 
 
 class TestNumberGrammar:

@@ -165,6 +165,17 @@ class TestDensePoly:
             with pytest.raises(ValueError):
                 order()
 
+    def test_cleared_integer_polynomials(self):
+        # int coefficients, and Fractions whose denominators are all 1
+        for p in (poly(3, -7, 10**40), poly(Fraction(3), Fraction(-14, 2), Fraction(10**40))):
+            den, nums = p.cleared()
+            assert den == 1 and nums == [3, -7, 10**40]
+            assert all(type(c) is int for c in nums)
+
+    def test_cleared_rational_polynomial(self):
+        den, nums = poly(Fraction(1, 6), Fraction(-3, 4), 2).cleared()
+        assert den == 12 and nums == [2, -9, 24]
+
     def test_compose_one_minus(self):
         rng = random.Random(6)
         for _ in range(20):

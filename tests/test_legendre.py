@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from math import factorial, prod
@@ -320,9 +321,47 @@ class TestChristoffel:
             for j, Tj in enumerate(iterates, 1):
                 assert christoffel_value(L, params.z, j) == Tj.evaluate(params.z)
 
+    @pytest.mark.parametrize("d", [15, 16, 17, 31, 32, 33, 48, 100, 257])
+    def test_iterate_values_across_blocks(self, d):
+        # degrees around and past the 16-coefficient blocks, so the pairwise
+        # merges run (an odd block count included), against the definition
+        rng = random.Random(300 + d)
+        P = poly(*[Fraction(rng.randint(-99, 99), rng.randint(1, 4)) for _ in range(d + 1)])
+        iterates, Q = [], P
+        for _ in range(4):
+            Q = christoffel_transform(Q)
+            iterates.append(Q)
+        for z in (Fraction(-3), Fraction(-5, 2), Fraction(-9, 7)):
+            for j, Tj in enumerate(iterates, 1):
+                assert christoffel_value(P, z, j) == Tj.evaluate(z)
+
+    def test_value_on_log2_m1_t70(self):
+        # d = 1050: 66 blocks, seven levels of merges
+        params = preset_catalog()["log2-m1"]
+        L = legendre_poly(params, 70)
+        want = transform_iterates(params, 70, L, 1)[0].evaluate(params.z)
+        assert christoffel_value(L, params.z, 1) == want
+
+    def test_value_leaves_no_reference_cycle(self):
+        # every intermediate is freed by reference counting, so the blocks
+        # of big integers do not wait for the cyclic collector
+        P = poly(*[Fraction(k % 7 - 3, 1 + k % 3) for k in range(241)])
+        gc.collect()
+        gc.disable()
+        try:
+            christoffel_value(P, Fraction(-2, 7), 2)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_iterate_order_validated(self):
         with pytest.raises(ParamError):
             christoffel_value(poly(1, 2, 3), Fraction(-1), 0)
+
+    @pytest.mark.parametrize("j", [2.0, True, "2", None])
+    def test_iterate_order_must_be_int(self, j):
+        with pytest.raises(ParamError):
+            christoffel_value(poly(1, 2, 3), Fraction(-1), j)
 
     def test_eval_at_rational(self):
         rng = random.Random(11)
@@ -397,6 +436,11 @@ class TestFunctionValue:
     def test_j_out_of_range(self, example1):
         with pytest.raises(ParamError):
             legendre_function_value(example1, 1, 2, 96, L=legendre_poly(example1, 1))
+
+    @pytest.mark.parametrize("j", [1.0, 2.0, True])
+    def test_j_must_be_int(self, example2, j):
+        with pytest.raises(ParamError):
+            legendre_function_value(example2, 1, j, 96, L=legendre_poly(example2, 1))
 
     def test_reduced_form_scaling(self, example1):
         t = 4
